@@ -18,10 +18,11 @@ Text format (one graph per file or string):
 
 Every non-partner pair must appear exactly once; partner pairs must not
 appear.  A compact one-line form ``n:HEX`` is also accepted and emitted:
-HEX encodes the red-edge bitmask over the fixed edge ordering
-(lexicographic on (u, v) with u < v, partner pairs skipped), written as
-little-endian hex -- character i holds red-edge bits 4i..4i+3, lowercase,
-exactly ceil(m/4) characters for m = n(n-2)/2 edges.
+n is plain ASCII decimal digits, and HEX encodes the red-edge bitmask
+over the fixed edge ordering (lexicographic on (u, v) with u < v, partner
+pairs skipped), written as little-endian hex -- character i holds
+red-edge bits 4i..4i+3, lowercase 0-9a-f, exactly ceil(m/4) characters
+for m = n(n-2)/2 edges.
 """
 
 from __future__ import annotations
@@ -70,7 +71,11 @@ def num_edges(n: int) -> int:
     return n * (n - 2) // 2
 
 
-@lru_cache(maxsize=None)
+#: Bound on the n-indexed edge-table caches: each entry holds O(n**2) items.
+EDGE_CACHE_SIZE = 16
+
+
+@lru_cache(maxsize=EDGE_CACHE_SIZE)
 def edge_list(n: int) -> tuple[tuple[int, int], ...]:
     """All non-partner pairs (u, v), u < v, in the fixed lexicographic order."""
     if n < 2 or n % 2:
@@ -80,7 +85,7 @@ def edge_list(n: int) -> tuple[tuple[int, int], ...]:
     )
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=EDGE_CACHE_SIZE)
 def edge_index(n: int) -> dict[tuple[int, int], int]:
     """Inverse of edge_list: normalized pair -> position in the edge ordering."""
     return {e: k for k, e in enumerate(edge_list(n))}
@@ -297,7 +302,9 @@ def from_compact(text: str) -> ColoredCocktail:
     if not sep:
         raise GraphFormatError(f"compact form must look like 'n:HEX', got {text!r}")
     try:
-        n = int(head)
+        if not (head.isascii() and head.isdigit()):  # no sign, space or '_'
+            raise ValueError
+        n = int(head)  # raises past int()'s digit limit too
     except ValueError:
         raise GraphFormatError(f"bad vertex count {head!r}") from None
     if n % 2 or n < 2:
@@ -321,13 +328,10 @@ def _mask_to_hex(mask: int, m: int) -> str:
 
 
 def _hex_to_mask(hexpart: str) -> int:
-    mask = 0
-    for i, ch in enumerate(hexpart):
-        try:
-            mask |= int(ch, 16) << (4 * i)
-        except ValueError:
-            raise GraphFormatError(f"bad hex digit {ch!r}") from None
-    return mask
+    for ch in hexpart:
+        if ch not in "0123456789abcdef":
+            raise GraphFormatError(f"bad hex digit {ch!r}")
+    return int(hexpart[::-1], 16) if hexpart else 0
 
 
 def parse(text: str) -> ColoredCocktail:
@@ -361,9 +365,9 @@ def parse(text: str) -> ColoredCocktail:
     if n % 2 or n < 2:
         raise GraphFormatError(f"n must be even and >= 2, got {n}", line=first_no)
 
-    idx = edge_index(n)
+    # Nothing here is sized by n alone: a bare header must not build the
+    # O(n**2) edge tables before the pair lines are known to be complete.
     seen: dict[tuple[int, int], int] = {}
-    mask = 0
     for lineno, line in content[1:]:
         fields = line.split()
         if len(fields) != 3:
@@ -392,10 +396,12 @@ def parse(text: str) -> ColoredCocktail:
                     f"pair ({u}, {v}) assigned both colors", line=lineno)
             raise GraphFormatError(f"duplicate pair ({u}, {v})", line=lineno)
         seen[(u, v)] = c
-        if c == RED:
-            mask |= 1 << idx[(u, v)]
 
-    for u, v in edge_list(n):
-        if (u, v) not in seen:
-            raise GraphFormatError(f"pair ({u}, {v}) missing")
+    if len(seen) < num_edges(n):
+        # every pair before the first missing one was seen: a short walk
+        for u in range(n):
+            for v in range(u + 1, n):
+                if v != (u ^ 1) and (u, v) not in seen:
+                    raise GraphFormatError(f"pair ({u}, {v}) missing")
+    mask = sum(1 << k for k, e in enumerate(edge_list(n)) if seen[e] == RED)
     return from_red_mask(n, mask)

@@ -24,6 +24,8 @@ import time
 from dataclasses import dataclass, field
 from functools import lru_cache
 from math import factorial
+from operator import itemgetter
+from typing import Iterator
 
 from .cover import (
     BRANCH_KEYS,
@@ -161,57 +163,72 @@ def symmetry_group_order(n: int) -> int:
 
 @lru_cache(maxsize=None)
 def _edge_perm_tables(n: int) -> tuple[tuple[int, ...], ...]:
-    """Edge-index permutation induced by each partner-preserving relabeling."""
+    """Nibble lookup table of each partner-preserving relabeling, identity first.
+
+    A relabeling swaps within pairs, then permutes the pairs.  Entry
+    16*c + d of its table is the image of the hex digit d at red-mask bits
+    4c..4c+3 (m = n(n-2)/2 is a multiple of 4).  Images of different
+    digits share no bit, so the relabeled mask is the sum of one entry per
+    digit.  A digit's 16 images depend only on where its 4 edges go, and
+    few such 4-sets occur (432 at n = 8), so tables share those blocks.
+    """
     edges = edge_list(n)
-    index = {e: k for k, e in enumerate(edges)}
+    index = {}
+    for k, (u, v) in enumerate(edges):
+        index[u, v] = index[v, u] = k
+
+    def edge_map(vmap: list[int]) -> list[int]:
+        return [index[vmap[u], vmap[v]] for u, v in edges]
+
     half = n // 2
+    swaps = [edge_map([v ^ (s >> (v >> 1) & 1) for v in range(n)])
+             for s in range(1 << half)]
+    perms = [[1 << k for k in edge_map([2 * p[v >> 1] + (v & 1) for v in range(n)])]
+             for p in itertools.permutations(range(half))]
+    blocks: dict[tuple[int, ...], list[int]] = {}
     tables = []
-    for pair_perm in itertools.permutations(range(half)):
-        for swaps in range(1 << half):
-            vmap = [0] * n
-            for p in range(half):
-                r = (swaps >> p) & 1
-                vmap[2 * p] = 2 * pair_perm[p] + r
-                vmap[2 * p + 1] = 2 * pair_perm[p] + (r ^ 1)
-            table = []
-            for u, v in edges:
-                mu, mv = vmap[u], vmap[v]
-                if mu > mv:
-                    mu, mv = mv, mu
-                table.append(index[(mu, mv)])
+    for perm in perms:
+        for swap in swaps:
+            images = iter([perm[k] for k in swap])
+            table: list[int] = []
+            for quad in zip(images, images, images, images):
+                block = blocks.get(quad)
+                if block is None:
+                    a, b, c, d = quad
+                    block = blocks[quad] = [hi | lo for hi in (0, c, d, c | d)
+                                            for lo in (0, a, b, a | b)]
+                table += block
             tables.append(tuple(table))
     return tuple(tables)
 
 
-def _apply_edge_perm(table: tuple[int, ...], mask: int) -> int:
-    out = 0
-    while mask:
-        low = mask & -mask
-        out |= 1 << table[low.bit_length() - 1]
-        mask ^= low
-    return out
+def _relabeled_masks(n: int, mask: int) -> Iterator[int]:
+    """The red mask under each relabeling, in table order."""
+    tables = _edge_perm_tables(n)
+    # digit i's entries start at base = 16*i; its bits start at 4*i = base >> 2
+    digits = [base + (mask >> (base >> 2) & 15)
+              for base in range(0, 4 * num_edges(n), 16)]
+    if len(digits) > 1:
+        return map(sum, map(itemgetter(*digits), tables))
+    if digits:  # n = 4: a one-index itemgetter returns the entry, not a tuple
+        return map(itemgetter(digits[0]), tables)
+    return itertools.repeat(0, len(tables))  # n = 2: no edges
 
 
 def canonical_red_mask(n: int, mask: int) -> int:
     """Smallest red mask in the orbit of a coloring (relabelings + color swap)."""
-    full = (1 << num_edges(n)) - 1
-    best = mask
-    for table in _edge_perm_tables(n):
-        pm = _apply_edge_perm(table, mask)
-        if pm < best:
-            best = pm
-        pm ^= full
-        if pm < best:
-            best = pm
-    return best
+    images = list(_relabeled_masks(n, mask))
+    # full - image is the image's color swap, smallest for the largest image
+    return min(min(images), (1 << num_edges(n)) - 1 - max(images))
 
 
 def is_canonical(n: int, mask: int) -> bool:
     """Is this red mask the smallest in its orbit?"""
-    full = (1 << num_edges(n)) - 1
-    for table in _edge_perm_tables(n):
-        pm = _apply_edge_perm(table, mask)
-        if pm < mask or pm ^ full < mask:
+    swapped = (1 << num_edges(n)) - 1 - mask
+    if swapped < mask:  # the color swap alone settles half of all masks
+        return False
+    for pm in _relabeled_masks(n, mask):
+        if not mask <= pm <= swapped:  # pm > swapped: pm's color swap < mask
             return False
     return True
 

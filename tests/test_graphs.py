@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import colorings
+from partycover.cover import parse_cover
 from partycover.graphs import (
     BLUE,
     RED,
@@ -14,6 +15,7 @@ from partycover.graphs import (
     GraphFormatError,
     all_blue,
     all_red,
+    edge_index,
     edge_list,
     enumerate_colorings,
     flip,
@@ -207,6 +209,74 @@ def test_compact_rejects_wrong_shapes():
         from_compact("5:0")
     with pytest.raises(GraphFormatError):
         from_compact("40")
+
+
+@pytest.mark.parametrize("text,frag", [
+    ("4:F", "hex digit 'F'"),
+    ("+4:f", "vertex count '\\+4'"),
+    ("\u0664:f", "vertex count"),  # ARABIC-INDIC DIGIT FOUR
+    ("4:\u0663", "hex digit"),  # ARABIC-INDIC DIGIT THREE
+    ("4 :f", "vertex count"),
+    ("4_0:" + "0" * 380, "vertex count"),
+], ids=["upper-hex", "plus-sign", "arabic-indic-n", "arabic-indic-hex",
+        "space", "underscore"])
+def test_compact_accepts_only_ascii_digits_and_lowercase_hex(text, frag):
+    with pytest.raises(GraphFormatError, match=frag):
+        from_compact(text)
+    with pytest.raises(GraphFormatError, match=frag):
+        parse(text)
+
+
+def test_parse_bare_header_builds_no_edge_table():
+    edge_list.cache_clear()
+    edge_index.cache_clear()
+    with pytest.raises(GraphFormatError, match=r"pair \(0, 2\) missing"):
+        parse("2000\n")
+    with pytest.raises(GraphFormatError, match=r"pair \(0, 3\) missing"):
+        parse("2000\n0 2 1\n")
+    assert edge_list.cache_info().currsize == 0
+    assert edge_index.cache_info().currsize == 0
+
+
+def test_edge_table_caches_are_bounded():
+    for cached in (edge_list, edge_index):
+        bound = cached.cache_info().maxsize
+        assert bound is not None
+        for n in range(2, 2 * bound + 6, 2):
+            cached(n)
+        assert cached.cache_info().currsize == bound
+    assert edge_index(4) == {(0, 2): 0, (0, 3): 1, (1, 2): 2, (1, 3): 3}
+
+
+@st.composite
+def near_miss_texts(draw):
+    """A header with a few pair lines, a compact form or a cover, plus noise."""
+    n = draw(st.integers(min_value=-1, max_value=9))
+    kind = draw(st.sampled_from(("pairs", "compact", "cover")))
+    small = st.integers(min_value=-1, max_value=10)
+    if kind == "pairs":
+        rows = draw(st.lists(st.tuples(small, small, st.integers(0, 3)), max_size=8))
+        text = "\n".join([str(n)] + [f"{u} {v} {c}" for u, v, c in rows])
+    elif kind == "compact":
+        text = f"{n}:" + draw(st.text("0123456789abcdefABCDEF:+- ", max_size=12))
+    else:
+        text = "\n".join(
+            f"{label} {draw(st.integers(0, 3))}: "
+            + " ".join(map(str, draw(st.lists(small, max_size=5))))
+            for label in draw(st.lists(st.sampled_from("AB"), max_size=3)))
+    noise = draw(st.text(max_size=3))
+    at = draw(st.integers(min_value=0, max_value=len(text)))
+    return text[:at] + noise + text[at:]
+
+
+@settings(max_examples=300)
+@given(st.one_of(st.text(), near_miss_texts()))
+def test_parsers_raise_only_graph_format_errors(text):
+    for parser in (parse, from_compact, lambda t: parse_cover(t, 6)):
+        try:
+            parser(text)
+        except GraphFormatError:
+            pass
 
 
 def test_serialize_format():

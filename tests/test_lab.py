@@ -1,5 +1,8 @@
 """Diameter-2 cover search, symmetry machinery, coloring-space scans."""
 
+import itertools
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,6 +17,7 @@ from partycover.graphs import (
     all_blue,
     all_red,
     enumerate_colorings,
+    from_red_mask,
     from_red_set,
     mask_to_compact,
     num_edges,
@@ -141,6 +145,56 @@ def test_symmetry_reduce_key_is_compact_of_canonical_mask():
 def test_canonical_mask_agrees_with_is_canonical_n4():
     for m in range(1 << num_edges(4)):
         assert is_canonical(4, m) == (canonical_red_mask(4, m) == m)
+
+
+def _orbit_min(n, mask):
+    """Orbit-minimal red mask by relabeling the whole graph, without lab's tables."""
+    g = from_red_mask(n, mask)
+    full = (1 << num_edges(n)) - 1
+    best = mask
+    for perm in itertools.permutations(range(n // 2)):
+        for swaps in range(1 << (n // 2)):
+            vmap = [2 * perm[v // 2] + ((v % 2) ^ ((swaps >> (v // 2)) & 1))
+                    for v in range(n)]
+            image = _relabel(g, vmap).red_mask()
+            best = min(best, image, image ^ full)
+    return best
+
+
+def _assert_matches_orbit_oracle(n, masks):
+    for mask in masks:
+        low = _orbit_min(n, mask)
+        assert canonical_red_mask(n, mask) == low, (n, mask)
+        assert is_canonical(n, mask) == (mask == low), (n, mask)
+        assert is_canonical(n, low) and canonical_red_mask(n, low) == low
+
+
+def test_orbit_tables_match_oracle_n2_n4_exhaustive():
+    for n in (2, 4):
+        _assert_matches_orbit_oracle(n, range(1 << num_edges(n)))
+
+
+@given(st.integers(min_value=0, max_value=(1 << num_edges(6)) - 1))
+@settings(max_examples=60, deadline=None)
+def test_orbit_tables_match_oracle_n6(mask):
+    _assert_matches_orbit_oracle(6, [mask])
+
+
+#: Canonical n = 8 masks, frozen from the edge-permutation implementation.
+N8_CANONICAL = (1226138, 0x32e569, 0x34b56a)
+
+
+def test_orbit_tables_match_oracle_n8_stratified():
+    rng = random.Random(8)
+    masks = [(k << 19) | rng.getrandbits(19) for k in range(32)]
+    masks += [rng.getrandbits(21) for _ in range(6)]  # below 2**21: slow rejects
+    masks += [rng.getrandbits(12) for _ in range(2)]
+    _assert_matches_orbit_oracle(8, masks + list(N8_CANONICAL))
+    assert all(is_canonical(8, m) for m in N8_CANONICAL)
+
+
+def test_canonical_count_among_first_n8_masks_frozen():
+    assert sum(is_canonical(8, m) for m in range(1 << 16)) == 4030
 
 
 def test_symmetry_classes_frozen_values():
