@@ -9,7 +9,6 @@ from .cover import (
     apply_lemma,
     Cover,
     CriticalComplement,
-    Diam2Witness,
     InternalInconsistencyError,
     LemmaC5Plus,
     LemmaStars,

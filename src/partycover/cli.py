@@ -12,14 +12,7 @@ import sys
 from pathlib import Path
 
 from .cover import (
-    Cover,
-    CriticalComplement,
     InternalInconsistencyError,
-    LemmaC5Plus,
-    LemmaStars,
-    TwoStars,
-    WholeVertexSet,
-    branch_key,
     check_cover,
     format_cover,
     parse_cover,
@@ -36,7 +29,7 @@ from .graphs import (
     random_coloring,
     serialize,
     to_compact,
-    vertex_list,
+    vertex_text,
 )
 from .lab import scan
 
@@ -46,42 +39,12 @@ def _read_graph(path: str) -> ColoredCocktail:
     return parse(text)
 
 
-def _verts(mask: int) -> str:
-    return " ".join(str(v) for v in vertex_list(mask)) or "-"
-
-
-def _describe(cert) -> str:
-    key = branch_key(cert)
-    if isinstance(cert, WholeVertexSet):
-        return (f"{key}: every pair is within distance 2 in color "
-                f"{cert.color} already")
-    if isinstance(cert, TwoStars):
-        return (f"{key}: color-{cert.color} stars of the partner pair "
-                f"({cert.center1}, {cert.center2}), which is critical in the "
-                f"other color")
-    if isinstance(cert, LemmaStars):
-        w = cert.witness
-        return (f"{key}: star of {cert.center_a} in color {cert.color_a} "
-                f"with star of {cert.center_b} in color {cert.color_b} "
-                f"(critical edges share vertex {w.x}; far ends {w.y} and "
-                f"{w.y_prime})")
-    if isinstance(cert, LemmaC5Plus):
-        pa = " | ".join(_verts(p) for p in cert.parts_a)
-        pb = " | ".join(_verts(p) for p in cert.parts_b)
-        return (f"{key}: cyclic 5-part sets around shared vertex "
-                f"{cert.witness.x}; A parts [{pa}], B parts [{pb}]")
-    if isinstance(cert, CriticalComplement):
-        return (f"{key}: drop color-1-critical edge ends ({_verts(cert.p)}) "
-                f"for A, color-2-critical ends ({_verts(cert.q)}) for B")
-    return repr(cert)
-
-
 def _cmd_solve(args: argparse.Namespace) -> int:
     g = _read_graph(args.graph)
     cov = solve(g)
     sys.stdout.write(format_cover(cov))
     if args.certificate:
-        print(f"certificate: {_describe(cov.certificate)}")
+        print(f"certificate: {cov.certificate.describe()}")
     if args.verify:
         reason = check_cover(g, cov)
         if reason is not None:
@@ -112,7 +75,7 @@ def _cmd_maxreach(args: argparse.Namespace) -> int:
     status = 0
     for c in colors:
         size, wit = max_2reachable(g, c)
-        print(f"color {c}: max 2-reachable size {size}, witness {_verts(wit)}")
+        print(f"color {c}: max 2-reachable size {size}, witness {vertex_text(wit)}")
         if args.oracle:
             osize = brute_max_2reachable(g, c)
             if osize == size:

@@ -3,8 +3,10 @@
 ``solve`` always succeeds: every 2-edge-coloring of a cocktail party
 graph admits a cover of V by sets A and B, each 2-reachable in a single
 color, and the construction emits a certificate naming which structural
-branch produced it.  ``check_cover``/``verify_cover`` re-validate a cover
-from scratch, sharing only the reachability primitives with the solver.
+branch produced it: its census ``key``, a ``describe()`` line and a
+``check`` that re-derives the cover.  ``check_cover``/``verify_cover``
+re-validate a cover from scratch, sharing with the solver only the
+reachability primitives and the mask of critical-edge ends.
 
 Branches, tried in order:
 
@@ -12,21 +14,23 @@ Branches, tried in order:
 2.  some partner pair is critical in a color: its two stars in the
     other color cover V;
 3.  a critical edge of color 1 and one of color 2 share a vertex: a
-    local case analysis around the shared vertex yields two stars or,
-    in the richest case, two cyclically-joined 5-part sets;
+    local case analysis around the shared vertex yields two stars
+    (cases i, ii, iii and vi) or, in the richest case (c5plus), two
+    cyclically-joined 5-part sets;
 4.  otherwise the critical edges of the two colors touch disjoint
     vertex sets, and the two complements cover V.
 
 Internal assertions that the mathematics guarantees (branch 3's endpoint
-claim, the vertex partition, the two neighborhood observations, branch
-4's disjointness) raise InternalInconsistencyError carrying the compact
-form of the offending coloring instead of failing silently.
+claim, the vertex partition, the two neighborhood observations, the
+common neighbors of the shared vertex's partner pair, branch 4's
+disjointness) raise InternalInconsistencyError carrying the compact form
+of the offending coloring instead of failing silently.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
+from typing import Union, get_args
 
 from .graphs import (
     BLUE,
@@ -35,15 +39,18 @@ from .graphs import (
     ColoredCocktail,
     GraphFormatError,
     flip,
+    parse_decimal,
     to_compact,
     vertex_list,
     vertex_mask,
+    vertex_text,
 )
 from .reach import (
+    CriticalPair,
     critical_pairs,
+    dist_le2,
     is_2reachable_set,
     is_diam2_subset,
-    iter_critical_edges,
     mono_diam_le2,
     star,
 )
@@ -67,6 +74,19 @@ class WholeVertexSet:
 
     color: int
 
+    @property
+    def key(self) -> str:
+        return f"whole-{self.color}"
+
+    def describe(self) -> str:
+        return (f"{self.key}: every pair is within distance 2 in color "
+                f"{self.color} already")
+
+    def check(self, g: ColoredCocktail, cover: Cover) -> bool:
+        """Relies on check_cover's set checks: A = V 2-reachable is diameter <= 2."""
+        return (cover.a == (1 << g.n) - 1 and cover.b == 0
+                and cover.color_a == self.color == cover.color_b)
+
 
 @dataclass(frozen=True)
 class TwoStars:
@@ -75,6 +95,26 @@ class TwoStars:
     color: int
     center1: int
     center2: int
+
+    @property
+    def key(self) -> str:
+        return f"two-stars-{self.color}"
+
+    def describe(self) -> str:
+        return (f"{self.key}: color-{self.color} stars of the partner pair "
+                f"({self.center1}, {self.center2}), which is critical in the "
+                f"other color")
+
+    def check(self, g: ColoredCocktail, cover: Cover) -> bool:
+        """Relies on check_cover's set checks for valid cover colors."""
+        if cover.color_a != self.color or cover.color_b != self.color:
+            return False
+        # the partner pair must really be critical in the other color
+        other = g.adj(flip(self.color))
+        return (self.center2 == (self.center1 ^ 1)
+                and not other[self.center1] & other[self.center2]
+                and cover.a == star(g, self.color, self.center1)
+                and cover.b == star(g, self.color, self.center2))
 
 
 @dataclass(frozen=True)
@@ -95,7 +135,7 @@ class LemmaWitness:
 
 @dataclass(frozen=True)
 class LemmaStars:
-    """Branch-3 outcome where both parts are single stars (cases i-vi)."""
+    """Branch-3 outcome where both parts are single stars (cases i, ii, iii, vi)."""
 
     case: str
     color_a: int
@@ -103,6 +143,25 @@ class LemmaStars:
     color_b: int
     center_b: int
     witness: LemmaWitness
+
+    @property
+    def key(self) -> str:
+        return f"lemma-{self.case}"
+
+    def describe(self) -> str:
+        w = self.witness
+        return (f"{self.key}: star of {self.center_a} in color {self.color_a} "
+                f"with star of {self.center_b} in color {self.color_b} "
+                f"(critical edges share vertex {w.x}; far ends {w.y} and "
+                f"{w.y_prime})")
+
+    def check(self, g: ColoredCocktail, cover: Cover) -> bool:
+        """Relies on check_cover's set checks for valid cover colors."""
+        return (_witness_ok(g, self.witness)
+                and cover.a == star(g, self.color_a, self.center_a)
+                and cover.color_a == self.color_a
+                and cover.b == star(g, self.color_b, self.center_b)
+                and cover.color_b == self.color_b)
 
 
 @dataclass(frozen=True)
@@ -118,6 +177,20 @@ class LemmaC5Plus:
     parts_b: tuple[int, ...]
     witness: LemmaWitness
 
+    key = "lemma-c5plus"
+
+    def describe(self) -> str:
+        pa = " | ".join(vertex_text(p) for p in self.parts_a)
+        pb = " | ".join(vertex_text(p) for p in self.parts_b)
+        return (f"{self.key}: cyclic 5-part sets around shared vertex "
+                f"{self.witness.x}; A parts [{pa}], B parts [{pb}]")
+
+    def check(self, g: ColoredCocktail, cover: Cover) -> bool:
+        """Relies on check_cover's set checks for valid cover colors."""
+        return (_witness_ok(g, self.witness)
+                and _c5plus_ok(g, cover.color_a, self.parts_a, cover.a)
+                and _c5plus_ok(g, cover.color_b, self.parts_b, cover.b))
+
 
 @dataclass(frozen=True)
 class CriticalComplement:
@@ -126,17 +199,25 @@ class CriticalComplement:
     p: int
     q: int
 
+    key = "critical-complement"
 
-@dataclass(frozen=True)
-class Diam2Witness:
-    """A cover whose parts satisfy the stronger in-set diameter-2 property."""
+    def describe(self) -> str:
+        return (f"{self.key}: drop color-1-critical edge ends "
+                f"({vertex_text(self.p)}) for A, color-2-critical ends "
+                f"({vertex_text(self.q)}) for B")
 
-    a: int
-    b: int
+    def check(self, g: ColoredCocktail, cover: Cover) -> bool:
+        """Relies on check_cover's set checks for the cover's shape."""
+        full = (1 << g.n) - 1
+        return (not self.p & self.q
+                and cover.a == full & ~self.p and cover.b == full & ~self.q
+                and cover.color_a == RED and cover.color_b == BLUE
+                and self.p == _edge_ends(critical_pairs(g, RED))
+                and self.q == _edge_ends(critical_pairs(g, BLUE)))
 
 
 Certificate = Union[WholeVertexSet, TwoStars, LemmaStars, LemmaC5Plus,
-                    CriticalComplement, Diam2Witness]
+                    CriticalComplement]
 
 
 @dataclass(frozen=True)
@@ -151,7 +232,8 @@ class Cover:
     certificate: Certificate | None = None
 
 
-#: Every branch the solver can take, in trial order; census keys.
+#: Every branch the solver can take, in trial order; census keys.  lemma-iv and
+#: lemma-v no longer fire; they keep the v1 report's and the benchmark's keys.
 BRANCH_KEYS = (
     "whole-1",
     "whole-2",
@@ -170,17 +252,9 @@ BRANCH_KEYS = (
 
 def branch_key(cert: Certificate) -> str:
     """Census key of the solver branch that produced a certificate."""
-    if isinstance(cert, WholeVertexSet):
-        return f"whole-{cert.color}"
-    if isinstance(cert, TwoStars):
-        return f"two-stars-{cert.color}"
-    if isinstance(cert, LemmaStars):
-        return f"lemma-{cert.case}"
-    if isinstance(cert, LemmaC5Plus):
-        return "lemma-c5plus"
-    if isinstance(cert, CriticalComplement):
-        return "critical-complement"
-    raise ValueError(f"not a solver certificate: {cert!r}")
+    if not isinstance(cert, get_args(Certificate)):
+        raise ValueError(f"not a solver certificate: {cert!r}")
+    return cert.key
 
 
 def solve(g: ColoredCocktail) -> Cover:
@@ -202,19 +276,14 @@ def solve(g: ColoredCocktail) -> Cover:
                 return Cover(n, star(g, sc, u), sc, star(g, sc, u + 1), sc,
                              TwoStars(sc, u, u + 1))
 
-    blue_crit = list(iter_critical_edges(g, BLUE))
-    if blue_crit:
-        for e in iter_critical_edges(g, RED):
-            for f in blue_crit:
-                if e[0] in f or e[1] in f:
-                    return _shared_vertex_cover(g, e, f)
+    red_crit = [cp for cp in critical_pairs(g, RED) if cp.is_edge]
+    blue_crit = [cp for cp in critical_pairs(g, BLUE) if cp.is_edge]
+    for e in red_crit:
+        for f in blue_crit:
+            if e.u in (f.u, f.v) or e.v in (f.u, f.v):
+                return _shared_vertex_cover(g, e, f)
 
-    p = 0
-    for u, v in iter_critical_edges(g, RED):
-        p |= (1 << u) | (1 << v)
-    q = 0
-    for u, v in iter_critical_edges(g, BLUE):
-        q |= (1 << u) | (1 << v)
+    p, q = _edge_ends(red_crit), _edge_ends(blue_crit)
     if p & q:
         raise InternalInconsistencyError(
             "critical edge vertex sets of the two colors must be disjoint "
@@ -222,13 +291,16 @@ def solve(g: ColoredCocktail) -> Cover:
     return Cover(n, full & ~p, RED, full & ~q, BLUE, CriticalComplement(p, q))
 
 
-def apply_lemma(g: ColoredCocktail, e: "CriticalPair",
-                f: "CriticalPair") -> Cover:
-    """Shared-vertex case analysis on a color-1-critical edge e and a
-    color-2-critical edge f.  Validates the preconditions; solve calls
-    the internal fast path directly."""
-    from .reach import CriticalPair, dist_le2  # local: avoid cycle at import
+def _edge_ends(pairs: list[CriticalPair]) -> int:
+    """Mask of the ends of the critical edges among the pairs."""
+    return vertex_mask(v for cp in pairs if cp.is_edge for v in (cp.u, cp.v))
 
+
+def apply_lemma(g: ColoredCocktail, e: CriticalPair,
+                f: CriticalPair) -> Cover:
+    """Shared-vertex case analysis on a color-1-critical edge e and a
+    color-2-critical edge f.  Validates the preconditions, including that
+    branch 2 does not apply; solve calls the internal fast path directly."""
     for name, cp, want in (("e", e, RED), ("f", f, BLUE)):
         if not isinstance(cp, CriticalPair):
             raise ValueError(f"{name} must be a CriticalPair, got {cp!r}")
@@ -246,16 +318,21 @@ def apply_lemma(g: ColoredCocktail, e: "CriticalPair",
     if len(shared) != 1:
         raise ValueError(f"e and f must share exactly one vertex, "
                          f"share {sorted(shared)}")
-    return _shared_vertex_cover(g, (e.u, e.v), (f.u, f.v))
+    x = shared.pop()
+    for c in COLORS:
+        if not g.adj(c)[x] & g.adj(c)[x ^ 1]:
+            raise ValueError(f"partner pair ({x}, {x ^ 1}) has no common "
+                             f"color-{c} neighbor: branch 2 applies")
+    return _shared_vertex_cover(g, e, f)
 
 
-def _shared_vertex_cover(g: ColoredCocktail, e: tuple[int, int],
-                         f: tuple[int, int]) -> Cover:
+def _shared_vertex_cover(g: ColoredCocktail, e: CriticalPair,
+                         f: CriticalPair) -> Cover:
     """Branch 3: e is color-1-critical, f color-2-critical, sharing a vertex."""
     n = g.n
     full = (1 << n) - 1
-    x, y = e if e[0] in f else (e[1], e[0])
-    q = f[0] + f[1] - x
+    x, y = (e.u, e.v) if e.u in (f.u, f.v) else (e.v, e.u)
+    q = f.u + f.v - x
     # col(x,y)=2 and col(x,q)=1 leave the partner of y as the only
     # placement for the far end of f: any other vertex would close a
     # 2-path killing one of the criticalities.
@@ -291,15 +368,16 @@ def _shared_vertex_cover(g: ColoredCocktail, e: tuple[int, int],
     # Now col(x',y)=1 and col(x',y')=2; split X and Y by their color to x'.
     x1, x2 = x_set & g.red[xp], x_set & g.blue[xp]
     y1, y2 = y_set & g.red[xp], y_set & g.blue[xp]
+    # red(x) = Y + {y'} (checked above) and blue(x) = X + {y}, so x and x'
+    # have the common red neighbors y1 and the common blue ones x2.  Branch
+    # 2 returned unless every partner pair has both, so neither is empty.
+    if not (y1 and x2):
+        raise InternalInconsistencyError(
+            "the shared vertex and its partner must have a common red "
+            "neighbor in Y and a common blue neighbor in X", g)
     if not x1:
         return Cover(n, star(g, BLUE, xp), BLUE, star(g, BLUE, y), BLUE,
                      LemmaStars("iii", BLUE, xp, BLUE, y, wit))
-    if not y1:
-        return Cover(n, star(g, BLUE, xp), BLUE, star(g, BLUE, x), BLUE,
-                     LemmaStars("iv", BLUE, xp, BLUE, x, wit))
-    if not x2:
-        return Cover(n, star(g, RED, xp), RED, star(g, RED, x), RED,
-                     LemmaStars("v", RED, xp, RED, x, wit))
     if not y2:
         return Cover(n, star(g, RED, xp), RED, star(g, RED, yp), RED,
                      LemmaStars("vi", RED, xp, RED, yp, wit))
@@ -328,7 +406,7 @@ def check_cover(g: ColoredCocktail, cover: Cover,
         return "bad shape"
     if (cover.a | cover.b) != full:
         return "not a cover"
-    if require_diam2 or isinstance(cover.certificate, Diam2Witness):
+    if require_diam2:
         if not is_diam2_subset(g, cover.color_a, cover.a):
             return "A not diameter-2"
         if not is_diam2_subset(g, cover.color_b, cover.b):
@@ -337,7 +415,7 @@ def check_cover(g: ColoredCocktail, cover: Cover,
         return "A not 2-reachable"
     if not is_2reachable_set(g, cover.color_b, cover.b):
         return "B not 2-reachable"
-    if cover.certificate is not None and not _certificate_matches(g, cover):
+    if cover.certificate is not None and not cover.certificate.check(g, cover):
         return "certificate mismatch"
     return None
 
@@ -346,64 +424,6 @@ def verify_cover(g: ColoredCocktail, cover: Cover,
                  require_diam2: bool = False) -> bool:
     """True when check_cover finds nothing wrong."""
     return check_cover(g, cover, require_diam2=require_diam2) is None
-
-
-def _certificate_matches(g: ColoredCocktail, cover: Cover) -> bool:
-    cert = cover.certificate
-    n = g.n
-    full = (1 << n) - 1
-
-    if isinstance(cert, WholeVertexSet):
-        return (cover.a == full and cover.b == 0
-                and cover.color_a == cert.color == cover.color_b
-                and is_diam2_subset(g, cert.color, full))
-
-    if isinstance(cert, TwoStars):
-        if cover.color_a != cert.color or cover.color_b != cert.color:
-            return False
-        if cert.center2 != (cert.center1 ^ 1):
-            return False
-        # the partner pair must really be critical in the other color
-        if g.adj(flip(cert.color))[cert.center1] & g.adj(flip(cert.color))[cert.center2]:
-            return False
-        return (cover.a == star(g, cert.color, cert.center1)
-                and cover.b == star(g, cert.color, cert.center2))
-
-    if isinstance(cert, LemmaStars):
-        if not _witness_ok(g, cert.witness):
-            return False
-        return (cover.a == star(g, cert.color_a, cert.center_a)
-                and cover.color_a == cert.color_a
-                and cover.b == star(g, cert.color_b, cert.center_b)
-                and cover.color_b == cert.color_b)
-
-    if isinstance(cert, LemmaC5Plus):
-        if not _witness_ok(g, cert.witness):
-            return False
-        return (_c5plus_ok(g, cover.color_a, cert.parts_a, cover.a)
-                and _c5plus_ok(g, cover.color_b, cert.parts_b, cover.b))
-
-    if isinstance(cert, CriticalComplement):
-        if cert.p & cert.q:
-            return False
-        if cover.a != full & ~cert.p or cover.b != full & ~cert.q:
-            return False
-        if cover.color_a != RED or cover.color_b != BLUE:
-            return False
-        p = 0
-        for cp in critical_pairs(g, RED):
-            if cp.is_edge:
-                p |= (1 << cp.u) | (1 << cp.v)
-        q = 0
-        for cp in critical_pairs(g, BLUE):
-            if cp.is_edge:
-                q |= (1 << cp.u) | (1 << cp.v)
-        return cert.p == p and cert.q == q
-
-    if isinstance(cert, Diam2Witness):
-        return cover.a == cert.a and cover.b == cert.b
-
-    return False
 
 
 def _witness_ok(g: ColoredCocktail, wit: LemmaWitness) -> bool:
@@ -468,13 +488,13 @@ def parse_cover(text: str, n: int) -> Cover:
         if label in fields:
             raise GraphFormatError(f"duplicate part {label}", line=lineno)
         try:
-            color = int(parts[1])
+            color = parse_decimal(parts[1])
         except ValueError:
             raise GraphFormatError(f"bad color {parts[1]!r}", line=lineno) from None
         if color not in COLORS:
             raise GraphFormatError(f"color must be 1 or 2, got {color}", line=lineno)
         try:
-            verts = [int(tok) for tok in rest.split()]
+            verts = [parse_decimal(tok) for tok in rest.split()]
         except ValueError:
             raise GraphFormatError(f"bad vertex list {rest!r}", line=lineno) from None
         for v in verts:

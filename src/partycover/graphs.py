@@ -109,6 +109,18 @@ def vertex_list(mask: int) -> list[int]:
     return out
 
 
+def vertex_text(mask: int) -> str:
+    """Sorted vertices of a bitmask, space-separated; '-' when empty."""
+    return " ".join(str(v) for v in vertex_list(mask)) or "-"
+
+
+def parse_decimal(text: str) -> int:
+    """int() of ASCII decimal digits only (no sign, space, '_'); else ValueError."""
+    if not (text.isascii() and text.isdigit()):
+        raise ValueError(f"not an ASCII decimal integer: {text!r}")
+    return int(text)  # raises past int()'s digit limit too
+
+
 class ColoredCocktail:
     """A 2-edge-colored cocktail party graph; immutable after construction.
 
@@ -271,9 +283,12 @@ def random_coloring(n: int, seed: int) -> ColoredCocktail:
     """
     if n % 2 or n < 2:
         raise ValueError(f"n must be even and >= 2, got {n}")
-    m = num_edges(n)
-    mask = random.Random(seed).getrandbits(m) if m else 0
-    return from_red_mask(n, mask)
+    return from_red_mask(n, random_red_mask(n, seed))
+
+
+def random_red_mask(n: int, seed: int) -> int:
+    """The red mask of random_coloring(n, seed), without building the graph."""
+    return random.Random(seed).getrandbits(num_edges(n))
 
 
 def serialize(g: ColoredCocktail) -> str:
@@ -302,9 +317,7 @@ def from_compact(text: str) -> ColoredCocktail:
     if not sep:
         raise GraphFormatError(f"compact form must look like 'n:HEX', got {text!r}")
     try:
-        if not (head.isascii() and head.isdigit()):  # no sign, space or '_'
-            raise ValueError
-        n = int(head)  # raises past int()'s digit limit too
+        n = parse_decimal(head)
     except ValueError:
         raise GraphFormatError(f"bad vertex count {head!r}") from None
     if n % 2 or n < 2:
@@ -359,7 +372,7 @@ def parse(text: str) -> ColoredCocktail:
         return from_compact(first)
 
     try:
-        n = int(first)
+        n = parse_decimal(first)
     except ValueError:
         raise GraphFormatError(f"bad vertex count {first!r}", line=first_no) from None
     if n % 2 or n < 2:
@@ -373,7 +386,7 @@ def parse(text: str) -> ColoredCocktail:
         if len(fields) != 3:
             raise GraphFormatError(f"expected 'u v c', got {line!r}", line=lineno)
         try:
-            u, v, c = (int(f) for f in fields)
+            u, v, c = (parse_decimal(f) for f in fields)
         except ValueError:
             raise GraphFormatError(f"expected integers, got {line!r}",
                                    line=lineno) from None

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import itertools
 import multiprocessing
-import random
 import time
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -30,7 +29,6 @@ from typing import Iterator
 from .cover import (
     BRANCH_KEYS,
     Cover,
-    Diam2Witness,
     InternalInconsistencyError,
     branch_key,
     solve,
@@ -46,6 +44,7 @@ from .graphs import (
     from_red_mask,
     mask_to_compact,
     num_edges,
+    random_red_mask,
 )
 from .reach import is_diam2_subset, star
 
@@ -72,7 +71,7 @@ def exists_diam2_cover(g: ColoredCocktail,
     center); (3) exhaustive assignment search putting each vertex in A,
     B, or both, for each of the four color pairs, pruning a branch only
     when a pair inside a part can never get an in-part middle even if
-    all unassigned vertices join it.
+    all unassigned vertices join it.  The returned cover has no certificate.
     """
     n = g.n
     if n > max_n:
@@ -87,8 +86,7 @@ def exists_diam2_cover(g: ColoredCocktail,
         cov = None  # the search must not die with the constructive route
     if cov is not None and is_diam2_subset(g, cov.color_a, cov.a) \
             and is_diam2_subset(g, cov.color_b, cov.b):
-        return Cover(n, cov.a, cov.color_a, cov.b, cov.color_b,
-                     Diam2Witness(cov.a, cov.b))
+        return Cover(n, cov.a, cov.color_a, cov.b, cov.color_b)
 
     for ca in COLORS:
         stars_a = [star(g, ca, u) for u in range(n)]
@@ -97,13 +95,13 @@ def exists_diam2_cover(g: ColoredCocktail,
             for su in stars_a:
                 for sv in stars_b:
                     if (su | sv) == full:
-                        return Cover(n, su, ca, sv, cb, Diam2Witness(su, sv))
+                        return Cover(n, su, ca, sv, cb)
 
     for ca, cb in ((RED, RED), (RED, BLUE), (BLUE, RED), (BLUE, BLUE)):
         found = _assignment_search(g, ca, cb)
         if found is not None:
             a, b = found
-            return Cover(n, a, ca, b, cb, Diam2Witness(a, b))
+            return Cover(n, a, ca, b, cb)
     return None
 
 
@@ -382,11 +380,6 @@ class ScanReport:
         return "\n".join(lines) + "\n"
 
 
-def _random_red_mask(n: int, seed: int) -> int:
-    m = num_edges(n)
-    return random.Random(seed).getrandbits(m) if m else 0
-
-
 def _examine(g: ColoredCocktail, mask: int, check: str, part: _Partial) -> None:
     part.examined += 1
     n = g.n
@@ -443,7 +436,7 @@ def _scan_chunk(args: tuple) -> _Partial:
     else:
         for i in range(lo, hi):
             part.scanned += 1
-            mask = _random_red_mask(n, seed + SEED_STRIDE * i)
+            mask = random_red_mask(n, seed + SEED_STRIDE * i)
             _examine(from_red_mask(n, mask), mask, check, part)
     return part
 

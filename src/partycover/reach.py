@@ -10,7 +10,6 @@ vertex lie inside the set.  Stars are the workhorse 2-reachable sets.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
 
 from .graphs import BLUE, RED, ColoredCocktail, flip
 
@@ -63,20 +62,27 @@ def critical_pairs(g: ColoredCocktail, c: int) -> list[CriticalPair]:
     return out
 
 
-def iter_critical_edges(g: ColoredCocktail, c: int) -> Iterator[tuple[int, int]]:
-    """Critical color-c pairs that are edges, lazily, in lexicographic order."""
-    adj = g.adj(c)
-    for u in range(g.n):
-        au = adj[u]
-        for v in range(u + 1, g.n):
-            if v == (u ^ 1) or (au >> v) & 1 or au & adj[v]:
-                continue
-            yield (u, v)
-
-
 def star(g: ColoredCocktail, c: int, center: int) -> int:
     """Closed color-c star of a vertex, as a mask: the center plus its c-neighbors."""
     return g.adj(c)[center] | (1 << center)
+
+
+def _within2(adj: tuple[int, ...], members: int, middles: int) -> bool:
+    """Every pair inside members is an edge or has a common neighbor in middles."""
+    rest = members
+    while rest:
+        low = rest & -rest
+        u = low.bit_length() - 1
+        rest ^= low
+        au = adj[u]
+        others = rest & ~au  # the neighbors of u are within 1 already
+        while others:
+            lov = others & -others
+            v = lov.bit_length() - 1
+            others ^= lov
+            if not au & adj[v] & middles:
+                return False
+    return True
 
 
 def is_2reachable_set(g: ColoredCocktail, c: int, members: int) -> bool:
@@ -84,40 +90,12 @@ def is_2reachable_set(g: ColoredCocktail, c: int, members: int) -> bool:
 
     Middle vertices may lie anywhere in the graph, not just inside the set.
     """
-    adj = g.adj(c)
-    rest = members
-    while rest:
-        low = rest & -rest
-        u = low.bit_length() - 1
-        rest ^= low
-        au = adj[u]
-        others = rest
-        while others:
-            lov = others & -others
-            v = lov.bit_length() - 1
-            others ^= lov
-            if not ((au >> v) & 1 or au & adj[v]):
-                return False
-    return True
+    return _within2(g.adj(c), members, -1)
 
 
 def is_diam2_subset(g: ColoredCocktail, c: int, members: int) -> bool:
     """Every pair inside the mask is a color-c edge or has a color-c middle *in the mask*."""
-    adj = g.adj(c)
-    rest = members
-    while rest:
-        low = rest & -rest
-        u = low.bit_length() - 1
-        rest ^= low
-        au = adj[u]
-        others = rest
-        while others:
-            lov = others & -others
-            v = lov.bit_length() - 1
-            others ^= lov
-            if not ((au >> v) & 1 or au & adj[v] & members):
-                return False
-    return True
+    return _within2(g.adj(c), members, members)
 
 
 def mono_diam_le2(g: ColoredCocktail, c: int) -> bool:
@@ -134,7 +112,6 @@ __all__ = [
     "dist_le2",
     "is_2reachable_set",
     "is_diam2_subset",
-    "iter_critical_edges",
     "mono_diam_le2",
     "star",
 ]

@@ -1,21 +1,24 @@
 """Solver branches, certificates, cover verification, cover text format."""
 
 import dataclasses
+import io
 
 import pytest
 from hypothesis import given, settings
 
 from conftest import colorings
+from partycover import cli
 from partycover.cover import (
     BRANCH_KEYS,
     Cover,
     CriticalComplement,
-    Diam2Witness,
     InternalInconsistencyError,
     LemmaC5Plus,
     LemmaStars,
+    LemmaWitness,
     TwoStars,
     WholeVertexSet,
+    _shared_vertex_cover,
     apply_lemma,
     branch_key,
     check_cover,
@@ -37,7 +40,7 @@ from partycover.graphs import (
     vertex_list,
     vertex_mask,
 )
-from partycover.reach import CriticalPair, iter_critical_edges
+from partycover.reach import CriticalPair, critical_pairs
 
 
 def test_solve_all_red():
@@ -109,7 +112,7 @@ def test_branch_keys_fixed():
     assert branch_key(WholeVertexSet(2)) == "whole-2"
     assert branch_key(CriticalComplement(0, 0)) == "critical-complement"
     with pytest.raises(ValueError):
-        branch_key(Diam2Witness(1, 2))
+        branch_key(LemmaWitness(0, 2, 1, 3, 3))
     with pytest.raises(ValueError):
         branch_key(None)
 
@@ -136,6 +139,53 @@ def test_branch_first_colorings(key, compact):
     cov = solve(g)
     assert branch_key(cov.certificate) == key
     assert verify_cover(g, cov)
+
+
+#: Full `partycover solve --certificate` output for each FIRSTS coloring.
+CERTIFICATE_GOLDENS = {
+    "whole-1": "A 1: 0 1 2 3\nB 1:\n"
+               "certificate: whole-1: every pair is within distance 2 in "
+               "color 1 already\n",
+    "whole-2": "A 2: 0 1 2 3\nB 2:\n"
+               "certificate: whole-2: every pair is within distance 2 in "
+               "color 2 already\n",
+    "two-stars-1": "A 1: 0 2 3\nB 1: 1 2\n"
+                   "certificate: two-stars-1: color-1 stars of the partner "
+                   "pair (0, 1), which is critical in the other color\n",
+    "two-stars-2": "A 2: 0\nB 2: 1\n"
+                   "certificate: two-stars-2: color-2 stars of the partner "
+                   "pair (0, 1), which is critical in the other color\n",
+    "lemma-i": "A 1: 0 2 4\nB 2: 0 1 3 5 6 7\n"
+               "certificate: lemma-i: star of 4 in color 1 with star of 5 in "
+               "color 2 (critical edges share vertex 0; far ends 5 and 4)\n",
+    "lemma-ii": "A 1: 0 2 3 6 7\nB 2: 1 2 4 5 6 7\n"
+                "certificate: lemma-ii: star of 0 in color 1 with star of 1 "
+                "in color 2 (critical edges share vertex 2; far ends 1 and "
+                "0)\n",
+    "lemma-iii": "A 2: 1 2 4 6 7\nB 2: 0 3 5 6 7\n"
+                 "certificate: lemma-iii: star of 1 in color 2 with star of "
+                 "5 in color 2 (critical edges share vertex 0; far ends 5 "
+                 "and 4)\n",
+    "lemma-vi": "A 1: 1 2 3 4\nB 1: 0 3 5 6 7\n"
+                "certificate: lemma-vi: star of 4 in color 1 with star of 0 "
+                "in color 1 (critical edges share vertex 5; far ends 1 and "
+                "0)\n",
+    "lemma-c5plus": "A 2: 0 1 3 5 7\nB 1: 0 1 2 4 6\n"
+                    "certificate: lemma-c5plus: cyclic 5-part sets around "
+                    "shared vertex 0; A parts [0 | 3 | 7 | 1 | 5], B parts "
+                    "[0 | 2 | 4 | 1 | 6]\n",
+    "critical-complement": "A 1: 0 2 4\nB 2: 1 3 5\n"
+                           "certificate: critical-complement: drop "
+                           "color-1-critical edge ends (1 3 5) for A, "
+                           "color-2-critical ends (0 2 4) for B\n",
+}
+
+
+@pytest.mark.parametrize("key,compact", sorted(FIRSTS.items()))
+def test_solve_certificate_cli_goldens(key, compact, monkeypatch, capsys):
+    monkeypatch.setattr("sys.stdin", io.StringIO(compact + "\n"))
+    assert cli.main(["solve", "-", "--certificate"]) == 0
+    assert capsys.readouterr().out == CERTIFICATE_GOLDENS[key]
 
 
 def test_critical_complement_certificate_contents():
@@ -166,12 +216,11 @@ def test_c5plus_parts_need_not_be_independent():
 
 
 def _first_shared_pair(g):
-    blue_crit = list(iter_critical_edges(g, BLUE))
-    for e in iter_critical_edges(g, RED):
+    blue_crit = [f for f in critical_pairs(g, BLUE) if f.is_edge]
+    for e in critical_pairs(g, RED):
         for f in blue_crit:
-            if e[0] in f or e[1] in f:
-                return (CriticalPair(e[0], e[1], RED, is_edge=True),
-                        CriticalPair(f[0], f[1], BLUE, is_edge=True))
+            if e.is_edge and {e.u, e.v} & {f.u, f.v}:
+                return e, f
     raise AssertionError("no shared-vertex pair")
 
 
@@ -203,6 +252,34 @@ def test_apply_lemma_rejects_disjoint_edges():
     f = CriticalPair(0, 2, BLUE, is_edge=True)
     with pytest.raises(ValueError, match="share exactly one vertex"):
         apply_lemma(g, e, f)
+
+
+#: Colorings with a red-critical edge e and a blue-critical edge f sharing
+#: a vertex whose partner pair lacks a common neighbor in one color, so
+#: branch 2 applies and the shared-vertex lemma does not.
+BRANCH2_WITNESSES = [
+    ("8:a61f8d", (0, 4), (0, 5)),
+    ("8:e316dc", (2, 4), (3, 4)),
+]
+
+
+@pytest.mark.parametrize("compact,e,f", BRANCH2_WITNESSES)
+def test_apply_lemma_rejects_when_branch2_applies(compact, e, f):
+    g = from_compact(compact)
+    e = CriticalPair(*e, RED, is_edge=True)
+    f = CriticalPair(*f, BLUE, is_edge=True)
+    with pytest.raises(ValueError, match="no common color-. neighbor"):
+        apply_lemma(g, e, f)
+
+
+@pytest.mark.parametrize("compact,e,f", BRANCH2_WITNESSES)
+def test_shared_vertex_cover_asserts_partner_common_neighbors(compact, e, f):
+    g = from_compact(compact)
+    e = CriticalPair(*e, RED, is_edge=True)
+    f = CriticalPair(*f, BLUE, is_edge=True)
+    with pytest.raises(InternalInconsistencyError, match=compact) as info:
+        _shared_vertex_cover(g, e, f)
+    assert info.value.graph_compact == compact
 
 
 def test_lemma_witness_far_end_is_forced():
@@ -275,15 +352,6 @@ def test_check_cover_certificate_mismatch():
     assert check_cover(g2, wrong_centers) == "certificate mismatch"
     # a certificate-less cover with the same parts is still fine
     assert check_cover(g2, dataclasses.replace(cov2, certificate=None)) is None
-
-
-def test_diam2_witness_certificate_forces_stronger_check():
-    g = all_blue(4)
-    a, b = vertex_mask([0, 1]), vertex_mask([2, 3])
-    lax = Cover(4, a, BLUE, b, BLUE)
-    strict = Cover(4, a, BLUE, b, BLUE, Diam2Witness(a, b))
-    assert check_cover(g, lax) is None
-    assert check_cover(g, strict) == "A not diameter-2"
 
 
 # --- cover text format

@@ -227,6 +227,28 @@ def test_compact_accepts_only_ascii_digits_and_lowercase_hex(text, frag):
         parse(text)
 
 
+def _parse_cover4(text):
+    return parse_cover(text, 4)
+
+
+@pytest.mark.parametrize("parser,text,frag", [
+    (parse, "+4\n0 2 1\n0 3 2\n1 2 1\n1 3 2\n", "bad vertex count"),
+    (parse, "0_4\n0 2 1\n0 3 2\n1 2 1\n1 3 2\n", "bad vertex count"),
+    (parse, "\u0664\n0 2 1\n0 3 2\n1 2 1\n1 3 2\n", "bad vertex count"),
+    (parse, "4\n0 2 +1\n0 3 2\n1 2 1\n1 3 2\n", "expected integers"),
+    (parse, "4\n0_0 2 1\n0 3 2\n1 2 1\n1 3 2\n", "expected integers"),
+    (parse, "4\n0 \u0662 1\n0 3 2\n1 2 1\n1 3 2\n", "expected integers"),
+    (_parse_cover4, "A +1: 0 1\nB 1: 2 3\n", "bad color"),
+    (_parse_cover4, "A 1: 0_1 2\nB 1: 2 3\n", "bad vertex list"),
+    (_parse_cover4, "A 1: \u0660 1\nB 1: 2 3\n", "bad vertex list"),
+], ids=["header-sign", "header-underscore", "header-non-ascii",
+        "pair-sign", "pair-underscore", "pair-non-ascii",
+        "cover-sign", "cover-underscore", "cover-non-ascii"])
+def test_text_parsers_accept_only_ascii_digits(parser, text, frag):
+    with pytest.raises(GraphFormatError, match=frag):
+        parser(text)
+
+
 def test_parse_bare_header_builds_no_edge_table():
     edge_list.cache_clear()
     edge_index.cache_clear()

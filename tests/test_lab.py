@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import colorings
-from partycover.cover import Diam2Witness, check_cover, verify_cover
+from partycover.cover import check_cover
 from partycover.extremal import build_sharp_example
 from partycover.graphs import (
     BLUE,
@@ -22,6 +22,7 @@ from partycover.graphs import (
     mask_to_compact,
     num_edges,
     random_coloring,
+    random_red_mask,
     vertex_list,
 )
 from partycover.lab import (
@@ -29,7 +30,6 @@ from partycover.lab import (
     SEED_STRIDE,
     ScanReport,
     _assignment_search,
-    _random_red_mask,
     canonical_red_mask,
     exists_diam2_cover,
     is_canonical,
@@ -47,8 +47,8 @@ def test_diam2_cover_whole_set():
     cov = exists_diam2_cover(g)
     assert cov is not None
     assert (cov.a, cov.b) == (0b111111, 0)
-    assert cov.certificate == Diam2Witness(0b111111, 0)
-    assert verify_cover(g, cov)
+    assert cov.certificate is None
+    assert check_cover(g, cov, require_diam2=True) is None
 
 
 def test_diam2_cover_sharp_is_the_star_pair():
@@ -58,8 +58,8 @@ def test_diam2_cover_sharp_is_the_star_pair():
     assert vertex_list(cov.a) == [0, 3, 5, 7]
     assert vertex_list(cov.b) == [1, 2, 4, 6]
     assert cov.color_a == cov.color_b == BLUE
-    # the Diam2Witness certificate makes plain verification strict
-    assert check_cover(g, cov) is None
+    assert cov.certificate is None
+    assert check_cover(g, cov, require_diam2=True) is None
 
 
 def test_diam2_cover_exists_for_all_n4():
@@ -300,7 +300,7 @@ def test_scan_random_seed_derivation():
     from partycover.graphs import from_red_mask
     expected = {}
     for i in range(3):
-        mask = _random_red_mask(4, 7 + SEED_STRIDE * i)
+        mask = random_red_mask(4, 7 + SEED_STRIDE * i)
         key = branch_key(solve(from_red_mask(4, mask)).certificate)
         expected[key] = expected.get(key, 0) + 1
     got = {k: v for k, v in report.branch_counts.items() if v}
@@ -309,8 +309,9 @@ def test_scan_random_seed_derivation():
 
 def test_random_red_mask_contract():
     import random as stdlib_random
-    assert _random_red_mask(6, 99) == stdlib_random.Random(99).getrandbits(12)
-    assert _random_red_mask(2, 5) == 0
+    assert random_red_mask(6, 99) == stdlib_random.Random(99).getrandbits(12)
+    assert random_red_mask(2, 5) == 0
+    assert random_coloring(6, 99).red_mask() == random_red_mask(6, 99)
 
 
 def test_scan_n2_random():

@@ -1,5 +1,7 @@
 """Distance-2 predicates, critical pairs, stars, subset checks."""
 
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -22,7 +24,6 @@ from partycover.reach import (
     dist_le2,
     is_2reachable_set,
     is_diam2_subset,
-    iter_critical_edges,
     mono_diam_le2,
     star,
 )
@@ -104,13 +105,6 @@ def test_critical_pair_structure(g):
             assert not dist_le2(g, c, p.u, p.v)
 
 
-@given(colorings(max_n=8))
-def test_iter_critical_edges_matches_critical_pairs(g):
-    for c in (RED, BLUE):
-        expected = [(p.u, p.v) for p in critical_pairs(g, c) if p.is_edge]
-        assert list(iter_critical_edges(g, c)) == expected
-
-
 def test_is_2reachable_trivia():
     g = build_sharp_example(8)
     for c in (RED, BLUE):
@@ -119,6 +113,20 @@ def test_is_2reachable_trivia():
             assert is_2reachable_set(g, c, 1 << v)
     assert is_2reachable_set(g, RED, vertex_mask([0, 2, 4, 6]))
     assert not is_2reachable_set(g, RED, vertex_mask([0, 2, 4, 6, 1]))
+
+
+@given(colorings_with_subset(max_n=10), st.sampled_from((RED, BLUE)))
+def test_subset_predicates_match_pairwise_definitions(gs, c):
+    g, members = gs
+    verts = vertex_list(members)
+    pairs = list(itertools.combinations(verts, 2))
+    assert is_2reachable_set(g, c, members) == all(
+        dist_le2(g, c, u, v) for u, v in pairs)
+    assert is_diam2_subset(g, c, members) == all(
+        g.color_of(u, v) == c
+        or any(g.color_of(u, w) == c == g.color_of(v, w)
+               for w in verts if w not in (u, v))
+        for u, v in pairs)
 
 
 def test_diam2_implies_2reachable_exhaustive_n4():
