@@ -8,7 +8,8 @@ between them, and in blue every partner pair lacks a common neighbor, so
 any n/2 + 1 vertices -- which must trap a partner pair -- fail in blue
 too.
 
-Run:  python3 demos/02_extremal_sharpness.py
+Run:  python3 demos/02_extremal_sharpness.py   (exit status 1 if the solver
+and the enumeration disagree)
 """
 
 from partycover import (
@@ -32,9 +33,11 @@ for n in (4, 6, 8, 10, 12, 16):
 print()
 print("cross-check against plain subset enumeration at n = 10:")
 g = build_sharp_example(10)
+disagree = False
 for c, label in ((RED, "red"), (BLUE, "blue")):
     solver = max_2reachable(g, c)[0]
     oracle = brute_max_2reachable(g, c)
+    disagree |= solver != oracle
     tag = "agree" if solver == oracle else "DISAGREE"
     print(f"  {label}: solver {solver}, enumeration {oracle} -> {tag}")
 
@@ -48,3 +51,4 @@ for u in range(0, 8, 2):
           f"blue distance > 2: {blue_far}")
 print("so a (n/2 + 1)-set, which must contain a partner pair, is")
 print("2-reachable in neither color beyond its n/2-sized halves.")
+raise SystemExit(1 if disagree else 0)

@@ -26,6 +26,7 @@ from .graphs import (
     GraphFormatError,
     all_red,
     parse,
+    parse_decimal,
     random_coloring,
     serialize,
     to_compact,
@@ -95,7 +96,8 @@ def _parse_scan_mode(text: str) -> tuple[str, int | None, int | None]:
         if seed_text.startswith("seed"):
             seed_text = seed_text[4:]
         try:
-            return "random", int(fields[1]), int(seed_text)
+            return ("random", parse_decimal(fields[1]),
+                    parse_decimal(seed_text))
         except ValueError:
             pass
     raise GraphFormatError(
@@ -142,11 +144,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen", help="emit a coloring in the text format")
     grp = p.add_mutually_exclusive_group(required=True)
-    grp.add_argument("--sharp", type=int, metavar="N",
+    grp.add_argument("--sharp", type=parse_decimal, metavar="N",
                      help="the extremal coloring with both maxima equal to N/2")
-    grp.add_argument("--random", type=int, nargs=2, metavar=("N", "SEED"),
+    grp.add_argument("--random", type=parse_decimal, nargs=2,
+                     metavar=("N", "SEED"),
                      help="seeded uniform coloring")
-    grp.add_argument("--all-red", type=int, metavar="N",
+    grp.add_argument("--all-red", type=parse_decimal, metavar="N",
                      help="every edge color 1")
     p.add_argument("--compact", action="store_true",
                    help="emit the one-line n:HEX form instead")
@@ -162,12 +165,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("scan", help="solve/verify or diameter-2-search a "
                                     "whole coloring space")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=parse_decimal, required=True)
     p.add_argument("--mode", default="exhaustive",
                    help="'exhaustive' (default) or 'random:SAMPLES:SEED'")
     p.add_argument("--check", choices=("reach", "diam2", "both"),
                    default="reach")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=parse_decimal, default=1)
     p.add_argument("--prune", action="store_true",
                    help="examine only canonical orbit representatives "
                         "(exhaustive mode)")

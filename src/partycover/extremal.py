@@ -2,11 +2,14 @@
 
 A set is 2-reachable in color c exactly when it is a clique of the
 auxiliary graph joining u and v whenever their color-c distance is at
-most 2, so the extremal question is a maximum clique computation.  The
-solver is a branch-and-bound over bitmasks with a greedy-coloring bound;
-the witness returned is the lexicographically smallest maximum set
-(smallest sorted vertex list).  ``brute_max_2reachable`` is the
-independent subset-enumeration oracle for small n.
+most 2, so the extremal question is a maximum clique computation.  Both
+searches are branch-and-bound over bitmasks with the greedy-coloring
+bound of Tomita and Seki, and both return the clique they find.  The
+witness is the lexicographically smallest maximum set (smallest sorted
+vertex list): it is built lowest vertex first from a carried maximum
+clique, searching again only where the next vertex is not in it, and
+that search tries its low vertices first.  ``brute_max_2reachable`` is
+the independent subset-enumeration oracle for small n.
 
 ``build_sharp_example`` produces the coloring showing n/2 cannot be
 improved: both colors peak at exactly n/2 because every partner pair is
@@ -16,6 +19,7 @@ critical in both colors and any n/2 + 1 vertices contain a partner pair.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 
 from .graphs import BLUE, RED, ColoredCocktail, from_red_set, vertex_mask
 from .reach import is_2reachable_set
@@ -28,12 +32,13 @@ def reach_adjacency(g: ColoredCocktail, c: int) -> tuple[int, ...]:
     """Aux-graph neighbor masks: u ~ v iff color-c distance <= 2 (u != v)."""
     adj = g.adj(c)
     out = []
-    for u in range(g.n):
-        au = adj[u]
+    for u, au in enumerate(adj):
         mask = au
-        for v in range(g.n):
-            if v != u and au & adj[v]:
-                mask |= 1 << v
+        rest = au
+        while rest:  # everything one color-c step past a neighbor of u
+            low = rest & -rest
+            mask |= adj[low.bit_length() - 1]
+            rest ^= low
         out.append(mask & ~(1 << u))
     return tuple(out)
 
@@ -58,66 +63,73 @@ def _color_sort(adj: tuple[int, ...], cand: int) -> tuple[list[int], list[int]]:
     return order, bounds
 
 
-def _max_clique_size(adj: tuple[int, ...], cand: int) -> int:
+def _max_clique(adj: tuple[int, ...], cand: int) -> tuple[int, int]:
+    """(size, mask) of a maximum clique inside the candidate mask."""
     best = 0
+    best_mask = 0
 
-    def expand(size: int, cand: int) -> None:
-        nonlocal best
+    def expand(clique: int, size: int, cand: int) -> None:
+        nonlocal best, best_mask
         if not cand:
             if size > best:
-                best = size
+                best, best_mask = size, clique
             return
         order, bounds = _color_sort(adj, cand)
         for i in range(len(order) - 1, -1, -1):
             if size + bounds[i] <= best:
                 return
             v = order[i]
-            expand(size + 1, cand & adj[v])
+            expand(clique | 1 << v, size + 1, cand & adj[v])
             cand &= ~(1 << v)
 
-    expand(0, cand)
-    return best
+    expand(0, 0, cand)
+    return best, best_mask
 
 
-def _exists_clique(adj: tuple[int, ...], cand: int, need: int) -> bool:
-    """Is there a clique of the given size inside the candidate mask?"""
+def _find_clique(adj: tuple[int, ...], cand: int, need: int) -> int | None:
+    """Mask of a clique of exactly ``need`` vertices inside cand, or None.
+
+    Only vertices whose greedy color is at least ``need`` can start one
+    (the rest use fewer than ``need`` colors, so any such clique holds one
+    of them); they are tried lowest vertex first, so low cliques come back.
+    """
     if need <= 0:
-        return True
-    if not cand:
-        return False
+        return 0
     order, bounds = _color_sort(adj, cand)
-    for i in range(len(order) - 1, -1, -1):
-        if bounds[i] < need:
-            return False
-        v = order[i]
-        if _exists_clique(adj, cand & adj[v], need - 1):
-            return True
+    for v in sorted(order[bisect_left(bounds, need):]):
+        found = _find_clique(adj, cand & adj[v], need - 1)
+        if found is not None:
+            return found | 1 << v
         cand &= ~(1 << v)
-    return False
+    return None
 
 
 def max_2reachable(g: ColoredCocktail, c: int) -> tuple[int, int]:
     """(size, witness mask) of a largest color-c 2-reachable subset.
 
-    The witness is the lexicographically smallest maximum set, built
-    vertex by vertex with clique-existence queries.
+    The witness is the lexicographically smallest maximum set.  It is
+    built lowest vertex first while carrying a maximum clique that
+    completes the vertices taken so far: a vertex in that clique is taken
+    at once, any other is taken only if ``_find_clique`` returns a new
+    completion through it, and is dropped otherwise.
     """
     adj = reach_adjacency(g, c)
-    full = (1 << g.n) - 1
-    size = _max_clique_size(adj, full)
+    cand = (1 << g.n) - 1
+    size, clique = _max_clique(adj, cand)
     members = 0
-    cand = full
     need = size
-    while need:
-        for v in range(g.n):
-            bit = 1 << v
-            if cand & bit and _exists_clique(adj, cand & adj[v], need - 1):
-                members |= bit
-                cand &= adj[v]
-                need -= 1
-                break
-        else:  # pragma: no cover - size came from the same aux graph
-            raise RuntimeError("witness reconstruction lost the maximum clique")
+    while need:  # invariant: clique & cand is a clique of need vertices
+        low = cand & -cand
+        v = low.bit_length() - 1
+        if not clique & low:
+            found = _find_clique(adj, cand & adj[v], need - 1)
+            if found is None:
+                cand ^= low
+                continue
+            clique = found | low
+        members |= low
+        cand &= adj[v]
+        need -= 1
     return size, members
 
 

@@ -117,10 +117,27 @@ def test_scan_random_mode_and_seed_prefix(tmp_path, capsys):
     assert "samples=10\nseed=3\n" in a.read_text()
 
 
-@pytest.mark.parametrize("mode", ["random:10", "random:x:1", "sweep", "random:5:s33d"])
+@pytest.mark.parametrize("mode", [
+    "random:10", "random:x:1", "sweep", "random:5:s33d",
+    # SAMPLES and SEED are ASCII decimal digits only
+    "random:1_0:seed3", "random:10:seed+3", "random:+10:3", "random:10:-3",
+    "random:١٠:3", "random:10: 3"])
 def test_scan_bad_mode_is_usage_error(mode, capsys):
     assert cli.main(["scan", "--n", "4", "--mode", mode]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["scan", "--n", "+4"], ["scan", "--n", "٤"], ["scan", "--n", "0_4"],
+    ["scan", "--n", "4", "--workers", "+1"], ["gen", "--sharp", "+4"],
+    ["gen", "--sharp", "٤"], ["gen", "--random", "4", "+3"],
+    ["gen", "--random", "4", "-3"], ["gen", "--all-red", "4_0"]],
+    ids=" ".join)
+def test_integer_options_are_ascii_decimal(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert "invalid" in capsys.readouterr().err
 
 
 def test_scan_bad_n_is_usage_error(capsys):

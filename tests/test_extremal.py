@@ -1,6 +1,7 @@
 """Extremal 2-reachable sets: clique solver vs brute oracle, sharpness."""
 
 import itertools
+import pathlib
 
 import pytest
 from hypothesis import given, settings
@@ -9,6 +10,8 @@ from hypothesis import strategies as st
 from conftest import colorings
 from partycover.extremal import (
     BRUTE_FORCE_MAX_N,
+    _find_clique,
+    _max_clique,
     brute_max_2reachable,
     build_sharp_example,
     max_2reachable,
@@ -19,6 +22,7 @@ from partycover.graphs import (
     RED,
     all_red,
     enumerate_colorings,
+    from_compact,
     from_red_mask,
     vertex_list,
     vertex_mask,
@@ -73,15 +77,82 @@ def test_solver_matches_oracle_random(g, c):
     assert members.bit_count() == size
 
 
+def _lex_first_max(g, c):
+    """(size, mask) of the first largest 2-reachable set in combinations order,
+    which is the lexicographically smallest sorted vertex list."""
+    for size in range(g.n, 0, -1):
+        for combo in itertools.combinations(range(g.n), size):
+            if is_2reachable_set(g, c, vertex_mask(combo)):
+                return size, vertex_mask(combo)
+    return 0, 0
+
+
 def test_witness_is_lex_smallest_n4():
     for g in enumerate_colorings(4):
         for c in (RED, BLUE):
-            size, members = max_2reachable(g, c)
-            best = min(
-                sorted(combo)
-                for combo in itertools.combinations(range(4), size)
-                if is_2reachable_set(g, c, vertex_mask(combo)))
-            assert vertex_list(members) == best
+            assert max_2reachable(g, c) == _lex_first_max(g, c)
+
+
+def test_witness_is_lex_smallest_n6():
+    for g in enumerate_colorings(6):
+        for c in (RED, BLUE):
+            assert max_2reachable(g, c) == _lex_first_max(g, c)
+
+
+@given(colorings(max_n=10), st.sampled_from((RED, BLUE)))
+@settings(max_examples=80)
+def test_witness_is_lex_smallest_random(g, c):
+    assert max_2reachable(g, c) == _lex_first_max(g, c)
+
+
+GOLDENS = pathlib.Path(__file__).parent / "fixtures" / "maxreach_goldens.txt"
+
+
+def test_large_n_goldens():
+    """(size, witness) at n = 48 and 64, where the brute oracle cannot go."""
+    rows = [line.split() for line in GOLDENS.read_text().splitlines()
+            if not line.startswith("#")]
+    graphs = [from_compact(row[0]) for row in rows]
+    assert [g.n for g in graphs] == [48] * 12 + [64] * 4
+    for g, (compact, *expected) in zip(graphs, rows):
+        for c, field in zip((RED, BLUE), expected):
+            size, witness = field.split(":")
+            assert max_2reachable(g, c) == (int(size), int(witness, 16)), compact
+
+
+def _is_clique(adj, mask):
+    return all(mask & ~(1 << v) & ~adj[v] == 0 for v in vertex_list(mask))
+
+
+@given(colorings(max_n=10), st.sampled_from((RED, BLUE)),
+       st.integers(min_value=0, max_value=(1 << 10) - 1),
+       st.integers(min_value=0, max_value=11))
+@settings(max_examples=150)
+def test_clique_searches_agree(g, c, cand, need):
+    adj = reach_adjacency(g, c)
+    cand &= (1 << g.n) - 1
+    size, clique = _max_clique(adj, cand)
+    assert clique & ~cand == 0 and clique.bit_count() == size
+    assert _is_clique(adj, clique)
+    verts = vertex_list(cand)
+    assert size == max(k for k in range(len(verts) + 1)
+                       if any(_is_clique(adj, vertex_mask(combo))
+                              for combo in itertools.combinations(verts, k)))
+    found = _find_clique(adj, cand, need)
+    if size < need:
+        assert found is None
+    else:
+        assert found is not None and found & ~cand == 0
+        assert found.bit_count() == need and _is_clique(adj, found)
+
+
+@given(colorings(max_n=12), st.sampled_from((RED, BLUE)))
+@settings(max_examples=60)
+def test_reach_adjacency_matches_dist_le2(g, c):
+    adj = reach_adjacency(g, c)
+    for u in range(g.n):
+        assert adj[u] == vertex_mask(
+            v for v in range(g.n) if v != u and dist_le2(g, c, u, v))
 
 
 def test_sharp_example_maxima():
