@@ -212,20 +212,17 @@ class ColoredCocktail:
 
 def from_red_mask(n: int, mask: int) -> ColoredCocktail:
     """Build a coloring from its red-edge bitmask (edges not in it are blue)."""
-    m = num_edges(n)
-    if not 0 <= mask < (1 << m):
+    if not 0 <= mask < (1 << num_edges(n)):
         raise ValueError(f"red mask {mask:#x} out of range for n={n}")
     red = [0] * n
-    blue = [0] * n
-    mm = mask
     for u, v in edge_list(n):
-        if mm & 1:
+        if mask & 1:
             red[u] |= 1 << v
             red[v] |= 1 << u
-        else:
-            blue[u] |= 1 << v
-            blue[v] |= 1 << u
-        mm >>= 1
+        mask >>= 1
+    # every non-partner pair that is not red is blue
+    full = (1 << n) - 1
+    blue = [full ^ (3 << (u & ~1)) ^ r for u, r in enumerate(red)]
     return ColoredCocktail(n, red, blue, validate=False)
 
 

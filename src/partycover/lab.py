@@ -12,7 +12,8 @@ parameters and the mathematics -- never on worker count or timing -- so
 runs with different ``workers`` values produce byte-identical reports.
 Failure lines name colorings by the compact form of their canonical
 (orbit-minimal) red mask, deduplicated and sorted, so pruned and
-unpruned scans describe failures identically.
+unpruned scans describe failures identically -- up to n = 10: above it
+the orbit tables grow too large, and failures keep their own red mask.
 """
 
 from __future__ import annotations
@@ -55,6 +56,12 @@ DIAM2_SEARCH_MAX_N = 10
 #: seed s uses seed s + 0x9E3779B9 * i.
 SEED_STRIDE = 0x9E3779B9
 
+#: Largest n whose scan failures are named by their canonical mask.
+CANONICAL_NAMES_MAX_N = 10
+
+#: Color pairs (A, B) of the diameter-2 search; see exists_diam2_cover.
+_COLOR_PAIRS = ((RED, RED), (RED, BLUE), (BLUE, BLUE))
+
 
 # ---------------------------------------------------------------------------
 # diameter-2 cover search for one coloring
@@ -69,9 +76,10 @@ def exists_diam2_cover(g: ColoredCocktail,
     the stronger in-set middle requirement; (2) try every pair of closed
     stars (a closed star always has in-set diameter <= 2 through its
     center); (3) exhaustive assignment search putting each vertex in A,
-    B, or both, for each of the four color pairs, pruning a branch only
-    when a pair inside a part can never get an in-part middle even if
-    all unassigned vertices join it.  The returned cover has no certificate.
+    B, or both, pruning a branch only when a pair inside a part can
+    never get an in-part middle even if all unassigned vertices join it.
+    Stages 2 and 3 skip (blue, red): its cover (A, B) is the (red, blue)
+    cover (B, A), which they try first.  The cover has no certificate.
     """
     n = g.n
     if n > max_n:
@@ -88,20 +96,17 @@ def exists_diam2_cover(g: ColoredCocktail,
             and is_diam2_subset(g, cov.color_b, cov.b):
         return Cover(n, cov.a, cov.color_a, cov.b, cov.color_b)
 
-    for ca in COLORS:
-        stars_a = [star(g, ca, u) for u in range(n)]
-        for cb in COLORS:
-            stars_b = stars_a if cb == ca else [star(g, cb, v) for v in range(n)]
-            for su in stars_a:
-                for sv in stars_b:
-                    if (su | sv) == full:
-                        return Cover(n, su, ca, sv, cb)
+    stars = {c: [star(g, c, v) for v in range(n)] for c in COLORS}
+    for ca, cb in _COLOR_PAIRS:
+        for su in stars[ca]:
+            for sv in stars[cb]:
+                if (su | sv) == full:
+                    return Cover(n, su, ca, sv, cb)
 
-    for ca, cb in ((RED, RED), (RED, BLUE), (BLUE, RED), (BLUE, BLUE)):
+    for ca, cb in _COLOR_PAIRS:
         found = _assignment_search(g, ca, cb)
         if found is not None:
-            a, b = found
-            return Cover(n, a, ca, b, cb)
+            return Cover(n, found[0], ca, found[1], cb)
     return None
 
 
@@ -116,12 +121,11 @@ def _assignment_search(g: ColoredCocktail, ca: int,
         # every earlier member must reach v by an edge or a middle that
         # could still end up in the part
         av = adj[v]
-        rest = members & ~(1 << v)
-        while rest:
-            low = rest & -rest
-            i = low.bit_length() - 1
-            rest ^= low
-            if not ((av >> i) & 1 or av & adj[i] & pool):
+        far = members & ~av & ~(1 << v)
+        while far:
+            low = far & -far
+            far ^= low
+            if not av & adj[low.bit_length() - 1] & pool:
                 return False
         return True
 
@@ -132,9 +136,8 @@ def _assignment_search(g: ColoredCocktail, ca: int,
             return None
         bit = 1 << v
         after = full & ~((bit << 1) - 1)
-        for to_a, to_b in ((True, False), (False, True), (True, True)):
-            na = a_mask | bit if to_a else a_mask
-            nb = b_mask | bit if to_b else b_mask
+        for to_a, to_b in ((bit, 0), (0, bit), (bit, bit)):
+            na, nb = a_mask | to_a, b_mask | to_b
             if to_a and not viable(adj_a, v, na, na | after):
                 continue
             if to_b and not viable(adj_b, v, nb, nb | after):
@@ -159,7 +162,7 @@ def symmetry_group_order(n: int) -> int:
     return factorial(half) * (1 << half) * 2
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4)  # n = 10 holds 5 MB of tables, n = 12 87 MB
 def _edge_perm_tables(n: int) -> tuple[tuple[int, ...], ...]:
     """Nibble lookup table of each partner-preserving relabeling, identity first.
 
@@ -215,14 +218,20 @@ def _relabeled_masks(n: int, mask: int) -> Iterator[int]:
 
 def canonical_red_mask(n: int, mask: int) -> int:
     """Smallest red mask in the orbit of a coloring (relabelings + color swap)."""
+    full = (1 << num_edges(n)) - 1
+    if not 0 <= mask <= full:
+        raise ValueError(f"red mask {mask:#x} out of range for n={n}")
     images = list(_relabeled_masks(n, mask))
     # full - image is the image's color swap, smallest for the largest image
-    return min(min(images), (1 << num_edges(n)) - 1 - max(images))
+    return min(min(images), full - max(images))
 
 
 def is_canonical(n: int, mask: int) -> bool:
     """Is this red mask the smallest in its orbit?"""
-    swapped = (1 << num_edges(n)) - 1 - mask
+    full = (1 << num_edges(n)) - 1
+    if not 0 <= mask <= full:
+        raise ValueError(f"red mask {mask:#x} out of range for n={n}")
+    swapped = full - mask
     if swapped < mask:  # the color swap alone settles half of all masks
         return False
     for pm in _relabeled_masks(n, mask):
@@ -266,31 +275,20 @@ _MODES = ("exhaustive", "random")
 class _Partial:
     """Mergeable per-chunk tallies; all fields are worker-order independent."""
 
-    scanned: int = 0
-    examined: int = 0
-    branch_counts: dict[str, int] = field(
-        default_factory=lambda: dict.fromkeys(BRANCH_KEYS, 0))
-    branch_first: dict[str, int] = field(default_factory=dict)
-    reach_failures: set[int] = field(default_factory=set)
-    assertion_failures: set[int] = field(default_factory=set)
-    corollary_failures: set[int] = field(default_factory=set)
-    diam2_found: int = 0
-    diam2_failures: set[int] = field(default_factory=set)
+    counts: dict[str, int] = field(default_factory=lambda: dict.fromkeys(
+        ("examined", "diam2_found", *BRANCH_KEYS), 0))
+    first: dict[str, int] = field(default_factory=dict)
+    failed: dict[str, set[int]] = field(default_factory=lambda: {
+        kind: set() for kind in ("reach", "assertion", "corollary", "diam2")})
 
     def merge(self, other: "_Partial") -> None:
-        self.scanned += other.scanned
-        self.examined += other.examined
-        for key, cnt in other.branch_counts.items():
-            self.branch_counts[key] += cnt
-        for key, mask in other.branch_first.items():
-            prev = self.branch_first.get(key)
-            if prev is None or mask < prev:
-                self.branch_first[key] = mask
-        self.reach_failures |= other.reach_failures
-        self.assertion_failures |= other.assertion_failures
-        self.corollary_failures |= other.corollary_failures
-        self.diam2_found += other.diam2_found
-        self.diam2_failures |= other.diam2_failures
+        for key, cnt in other.counts.items():
+            self.counts[key] += cnt
+        for key, mask in other.first.items():
+            if mask < self.first.get(key, mask + 1):
+                self.first[key] = mask
+        for kind, masks in other.failed.items():
+            self.failed[kind] |= masks
 
 
 @dataclass(frozen=True)
@@ -381,61 +379,52 @@ class ScanReport:
 
 
 def _examine(g: ColoredCocktail, mask: int, check: str, part: _Partial) -> None:
-    part.examined += 1
-    n = g.n
+    part.counts["examined"] += 1
     if check in ("reach", "both"):
         try:
             cov = solve(g)
         except InternalInconsistencyError:
-            part.assertion_failures.add(mask)
+            part.failed["assertion"].add(mask)
         else:
             key = branch_key(cov.certificate)
-            part.branch_counts[key] += 1
-            prev = part.branch_first.get(key)
-            if prev is None or mask < prev:
-                part.branch_first[key] = mask
+            part.counts[key] += 1
+            if mask < part.first.get(key, mask + 1):
+                part.first[key] = mask
             if not verify_cover(g, cov):
-                part.reach_failures.add(mask)
-            if max(cov.a.bit_count(), cov.b.bit_count()) < (n + 1) // 2:
-                part.corollary_failures.add(mask)
+                part.failed["reach"].add(mask)
+            if max(cov.a.bit_count(), cov.b.bit_count()) < (g.n + 1) // 2:
+                part.failed["corollary"].add(mask)
     if check in ("diam2", "both"):
         if exists_diam2_cover(g) is not None:
-            part.diam2_found += 1
+            part.counts["diam2_found"] += 1
         else:
-            part.diam2_failures.add(mask)
+            part.failed["diam2"].add(mask)
 
 
 def _scan_chunk(args: tuple) -> _Partial:
     n, mode, check, prune, seed, lo, hi = args
     part = _Partial()
-    m = num_edges(n)
-    edges = edge_list(n)
     if mode == "exhaustive":
         # Gray-code walk: counter i visits mask i ^ (i >> 1), flipping one
         # edge per step, so adjacency updates are O(1).
+        edges = edge_list(n)
         mask = lo ^ (lo >> 1)
         base = from_red_mask(n, mask)
         red, blue = list(base.red), list(base.blue)
         for i in range(lo, hi):
-            part.scanned += 1
             if not prune or is_canonical(n, mask):
                 g = ColoredCocktail(n, red, blue, validate=False)
                 _examine(g, mask, check, part)
             nxt = i + 1
-            k = (nxt & -nxt).bit_length() - 1
-            if k < m:
+            if nxt < hi:  # edge k changes color: flip its bit in both tables
+                k = (nxt & -nxt).bit_length() - 1
                 u, v = edges[k]
                 ub, vb = 1 << u, 1 << v
-                if (red[u] >> v) & 1:
-                    red[u] &= ~vb; red[v] &= ~ub
-                    blue[u] |= vb; blue[v] |= ub
-                else:
-                    blue[u] &= ~vb; blue[v] &= ~ub
-                    red[u] |= vb; red[v] |= ub
+                red[u] ^= vb; red[v] ^= ub
+                blue[u] ^= vb; blue[v] ^= ub
                 mask ^= 1 << k
     else:
         for i in range(lo, hi):
-            part.scanned += 1
             mask = random_red_mask(n, seed + SEED_STRIDE * i)
             _examine(from_red_mask(n, mask), mask, check, part)
     return part
@@ -498,10 +487,11 @@ def scan(n: int, mode: str = "exhaustive", check: str = "reach",
         merged.merge(p)
     wall = time.monotonic() - start
 
-    def canon(masks: set[int]) -> tuple[str, ...]:
-        canonical = {canonical_red_mask(n, m) for m in masks}
-        return tuple(mask_to_compact(n, m) for m in sorted(canonical))
-
+    name = canonical_red_mask if n <= CANONICAL_NAMES_MAX_N else lambda n, m: m
+    failures = {kind: tuple(mask_to_compact(n, m)
+                            for m in sorted({name(n, m) for m in masks}))
+                for kind, masks in merged.failed.items()}
+    diam2 = check in ("diam2", "both")
     return ScanReport(
         n=n,
         mode=mode,
@@ -509,18 +499,16 @@ def scan(n: int, mode: str = "exhaustive", check: str = "reach",
         prune=prune,
         samples=samples,
         seed=seed,
-        colorings_scanned=merged.scanned,
-        reduced_classes=merged.examined if prune else None,
-        branch_counts=dict(merged.branch_counts),
+        colorings_scanned=total,
+        reduced_classes=merged.counts["examined"] if prune else None,
+        branch_counts={k: merged.counts[k] for k in BRANCH_KEYS},
         branch_first={k: mask_to_compact(n, v)
-                      for k, v in sorted(merged.branch_first.items())},
-        reach_failures=canon(merged.reach_failures),
-        assertion_failures=canon(merged.assertion_failures),
-        corollary_failures=canon(merged.corollary_failures),
-        diam2_cover_found=(merged.diam2_found
-                           if check in ("diam2", "both") else None),
-        diam2_failures=(canon(merged.diam2_failures)
-                        if check in ("diam2", "both") else None),
+                      for k, v in sorted(merged.first.items())},
+        reach_failures=failures["reach"],
+        assertion_failures=failures["assertion"],
+        corollary_failures=failures["corollary"],
+        diam2_cover_found=merged.counts["diam2_found"] if diam2 else None,
+        diam2_failures=failures["diam2"] if diam2 else None,
         wall_time=wall,
         workers=workers,
     )

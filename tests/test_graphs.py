@@ -363,6 +363,18 @@ def test_sharp_example_edge_colors():
     assert g.color_of(0, 1) is None
 
 
+@settings(max_examples=40)
+@given(st.integers(min_value=1, max_value=8).flatmap(lambda half: st.tuples(
+    st.just(2 * half), st.integers(0, (1 << num_edges(2 * half)) - 1))))
+def test_from_red_mask_blue_is_every_other_edge(n_mask):
+    n, mask = n_mask
+    g = from_red_mask(n, mask)
+    ColoredCocktail(n, g.red, g.blue)  # validates the partition invariants
+    for k, (u, v) in enumerate(edge_list(n)):
+        red = bool(mask >> k & 1)
+        assert (g.red[u] >> v & 1, g.blue[u] >> v & 1) == (red, not red)
+
+
 @settings(max_examples=30)
 @given(colorings(min_n=2, max_n=12))
 def test_red_mask_roundtrip(g):

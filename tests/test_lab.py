@@ -1,6 +1,8 @@
 """Diameter-2 cover search, symmetry machinery, coloring-space scans."""
 
+import hashlib
 import itertools
+import pathlib
 import random
 
 import pytest
@@ -8,15 +10,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import colorings
-from partycover.cover import check_cover
+from partycover import lab
+from partycover.cover import Cover, check_cover
 from partycover.extremal import build_sharp_example
 from partycover.graphs import (
     BLUE,
+    COLORS,
     RED,
     ColoredCocktail,
     all_blue,
     all_red,
     enumerate_colorings,
+    from_compact,
     from_red_mask,
     from_red_set,
     mask_to_compact,
@@ -26,6 +31,7 @@ from partycover.graphs import (
     vertex_list,
 )
 from partycover.lab import (
+    CANONICAL_NAMES_MAX_N,
     DIAM2_SEARCH_MAX_N,
     SEED_STRIDE,
     ScanReport,
@@ -38,6 +44,9 @@ from partycover.lab import (
     symmetry_group_order,
     symmetry_reduce,
 )
+from partycover.reach import star
+
+FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
 # --- diameter-2 cover search
 
@@ -92,6 +101,50 @@ def test_assignment_search_negative():
 
 def test_assignment_search_positive():
     assert _assignment_search(all_blue(4), BLUE, BLUE) == (0b1111, 0)
+
+
+@given(colorings(min_n=2, max_n=8))
+@settings(max_examples=40, deadline=None)
+def test_assignment_search_blue_red_mirrors_red_blue(g):
+    # why exists_diam2_cover never searches (BLUE, RED): its covers are the
+    # (RED, BLUE) covers with the parts swapped
+    blue_red = _assignment_search(g, BLUE, RED)
+    red_blue = _assignment_search(g, RED, BLUE)
+    assert (blue_red is None) == (red_blue is None)
+    if blue_red is not None:
+        a, b = blue_red
+        assert check_cover(g, Cover(g.n, b, RED, a, BLUE),
+                           require_diam2=True) is None
+
+
+#: Uniform n = 10 colorings that need the assignment search (stage 3), and
+#: the (a, color_a, b, color_b) it returns, frozen from the four-pair search.
+STAGE3_COVERS = {
+    "10:710726e5b6": (1019, RED, 4, RED),
+    "10:29a2dd0e73": (363, RED, 660, RED),
+    "10:56232d2dd2": (219, RED, 804, RED),
+}
+
+
+@pytest.mark.parametrize("compact", sorted(STAGE3_COVERS))
+def test_diam2_cover_stage3_goldens(compact):
+    g = from_compact(compact)
+    full = (1 << g.n) - 1
+    stars = [star(g, c, v) for c in COLORS for v in range(g.n)]
+    assert not any(s | t == full for s in stars for t in stars)
+    cov = exists_diam2_cover(g)
+    assert check_cover(g, cov, require_diam2=True) is None
+    assert (cov.a, cov.color_a, cov.b, cov.color_b) == STAGE3_COVERS[compact]
+
+
+def test_diam2_cover_digest_all_n6():
+    digest = hashlib.sha256()
+    for mask in range(1 << num_edges(6)):
+        cov = exists_diam2_cover(from_red_mask(6, mask))
+        digest.update(f"{cov.a} {cov.color_a} {cov.b} {cov.color_b}\n".encode())
+    # frozen from the four-pair search
+    assert digest.hexdigest() == (
+        "dace921013d30b2af02cf8517889271e2fe375b9d2fb339b6cfa6eb2d2cc0852")
 
 
 # --- symmetry group
@@ -193,6 +246,17 @@ def test_orbit_tables_match_oracle_n8_stratified():
     assert all(is_canonical(8, m) for m in N8_CANONICAL)
 
 
+@pytest.mark.parametrize("orbit_fn", [canonical_red_mask, is_canonical])
+@pytest.mark.parametrize("mask", [0b10011, 1 << 16, -1])
+def test_orbit_functions_reject_out_of_range_masks(orbit_fn, mask):
+    with pytest.raises(ValueError, match="out of range"):
+        orbit_fn(4, mask)
+
+
+def test_orbit_table_cache_is_bounded():
+    assert lab._edge_perm_tables.cache_info().maxsize == 4
+
+
 def test_canonical_count_among_first_n8_masks_frozen():
     assert sum(is_canonical(8, m) for m in range(1 << 16)) == 4030
 
@@ -274,10 +338,44 @@ def test_scan_n4_machine_golden():
 
 
 def test_scan_n6_matches_fixture():
-    import pathlib
-    golden = (pathlib.Path(__file__).parent / "fixtures"
-              / "scan_n6_reach.txt").read_text()
+    golden = (FIXTURES / "scan_n6_reach.txt").read_text()
     assert scan(6).machine_text() == golden
+
+
+@pytest.mark.parametrize("kwargs,fixture", [
+    (dict(n=6, check="both", prune=True), "scan_n6_both_pruned.txt"),
+    (dict(n=10, mode="random", check="both", samples=300, seed=2),
+     "scan_n10_random_both.txt"),
+    (dict(n=10, mode="random", check="both", samples=300, seed=2, workers=2),
+     "scan_n10_random_both.txt"),
+])
+def test_scan_report_goldens(kwargs, fixture):
+    assert scan(**kwargs).machine_text() == (FIXTURES / fixture).read_text()
+
+
+def _failing_masks(n, samples, seed):
+    return {random_red_mask(n, seed + SEED_STRIDE * i) for i in range(samples)}
+
+
+def test_scan_failure_names_canonical_up_to_the_bound(monkeypatch):
+    monkeypatch.setattr(lab, "verify_cover", lambda g, cov: False)
+    n = CANONICAL_NAMES_MAX_N
+    report = scan(n, "random", "reach", samples=2, seed=1, workers=1)
+    names = {canonical_red_mask(n, m) for m in _failing_masks(n, 2, 1)}
+    assert report.reach_failures == tuple(
+        mask_to_compact(n, m) for m in sorted(names))
+    assert not report.ok
+
+
+def test_scan_failure_names_raw_above_the_bound(monkeypatch):
+    monkeypatch.setattr(lab, "verify_cover", lambda g, cov: False)
+    misses = lab._edge_perm_tables.cache_info().misses
+    report = scan(12, "random", "reach", samples=2, seed=1, workers=1)
+    assert report.reach_failures == tuple(
+        mask_to_compact(12, m) for m in sorted(_failing_masks(12, 2, 1)))
+    assert "failure.reach.1=" + report.reach_failures[1] in report.machine_lines()
+    # no relabeling table was built for n = 12
+    assert lab._edge_perm_tables.cache_info().misses == misses
 
 
 def test_scan_workers_do_not_change_the_report():
