@@ -215,11 +215,18 @@ def from_red_mask(n: int, mask: int) -> ColoredCocktail:
     if not 0 <= mask < (1 << num_edges(n)):
         raise ValueError(f"red mask {mask:#x} out of range for n={n}")
     red = [0] * n
-    for u, v in edge_list(n):
-        if mask & 1:
-            red[u] |= 1 << v
-            red[v] |= 1 << u
-        mask >>= 1
+    # edge order gives each u < n - 2 one run of bits: (u, v) for v > u,
+    # v != u ^ 1, so v starts at u + 2 (even u) or u + 1 (odd u)
+    for u in range(n - 2):
+        start = u + 2 - (u & 1)
+        row = (mask & ((1 << (n - start)) - 1)) << start
+        mask >>= n - start
+        red[u] |= row
+        ub = 1 << u
+        while row:
+            low = row & -row
+            red[low.bit_length() - 1] |= ub
+            row ^= low
     # every non-partner pair that is not red is blue
     full = (1 << n) - 1
     blue = [full ^ (3 << (u & ~1)) ^ r for u, r in enumerate(red)]

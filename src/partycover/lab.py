@@ -59,7 +59,11 @@ SEED_STRIDE = 0x9E3779B9
 #: Largest n whose scan failures are named by their canonical mask.
 CANONICAL_NAMES_MAX_N = 10
 
-#: Color pairs (A, B) of the diameter-2 search; see exists_diam2_cover.
+#: Largest n the orbit functions accept: they build (n/2)! * 2**(n/2)
+#: relabeling tables, 87 MB at n = 12 and about 1.7 GB at n = 14.
+ORBIT_MAX_N = 12
+
+#: Color pairs (A, B) of the diameter-2 search; see _diam2_cover.
 _COLOR_PAIRS = ((RED, RED), (RED, BLUE), (BLUE, BLUE))
 
 
@@ -72,26 +76,44 @@ def exists_diam2_cover(g: ColoredCocktail,
     """A cover of V by two monochromatic diameter-<=2 subsets, or None.
 
     Complete: a None return means no such cover exists for any color
-    pair.  Stages: (1) recheck the constructive 2-reachable cover under
-    the stronger in-set middle requirement; (2) try every pair of closed
-    stars (a closed star always has in-set diameter <= 2 through its
-    center); (3) exhaustive assignment search putting each vertex in A,
-    B, or both, pruning a branch only when a pair inside a part can
-    never get an in-part middle even if all unassigned vertices join it.
-    Stages 2 and 3 skip (blue, red): its cover (A, B) is the (red, blue)
-    cover (B, A), which they try first.  The cover has no certificate.
+    pair.  Solves g once and searches from the constructive cover; see
+    _diam2_cover for the stages.  The cover has no certificate.
     """
     n = g.n
     if n > max_n:
         raise ValueError(
             f"n={n} exceeds the diameter-2 search bound {max_n} "
             f"(3**n assignments); pass max_n to override")
-    full = (1 << n) - 1
+    return _diam2_cover(g, _solve_or_none(g))
 
+
+def _solve_or_none(g: ColoredCocktail) -> Cover | None:
+    """solve(g), or None after an InternalInconsistencyError.
+
+    The diameter-2 search must not die with the constructive route, and
+    the scan records the failure instead of stopping.
+    """
     try:
-        cov = solve(g)
+        return solve(g)
     except InternalInconsistencyError:
-        cov = None  # the search must not die with the constructive route
+        return None
+
+
+def _diam2_cover(g: ColoredCocktail, cov: Cover | None) -> Cover | None:
+    """The diameter-2 search of exists_diam2_cover, given solve(g) or None.
+
+    Stages: (1) recheck the constructive 2-reachable cover ``cov`` under
+    the stronger in-set middle requirement -- both parts are re-checked
+    whatever the certificate says; (2) try every pair of closed stars (a
+    closed star always has in-set diameter <= 2 through its center); (3)
+    exhaustive assignment search putting each vertex in A, B, or both,
+    pruning a branch only when a pair inside a part can never get an
+    in-part middle even if all unassigned vertices join it.  Stages 2
+    and 3 skip (blue, red): its cover (A, B) is the (red, blue) cover
+    (B, A), which they try first.
+    """
+    n = g.n
+    full = (1 << n) - 1
     if cov is not None and is_diam2_subset(g, cov.color_a, cov.a) \
             and is_diam2_subset(g, cov.color_b, cov.b):
         return Cover(n, cov.a, cov.color_a, cov.b, cov.color_b)
@@ -216,9 +238,25 @@ def _relabeled_masks(n: int, mask: int) -> Iterator[int]:
     return itertools.repeat(0, len(tables))  # n = 2: no edges
 
 
+@lru_cache(maxsize=ORBIT_MAX_N // 2)
+def _orbit_full_mask(n: int) -> int:
+    """All-red mask of order n, for the orbit functions: refuses n > ORBIT_MAX_N.
+
+    Cached because is_canonical needs it for every mask a pruned scan walks.
+    """
+    if n > ORBIT_MAX_N:
+        raise ValueError(
+            f"n={n} exceeds the orbit bound ORBIT_MAX_N={ORBIT_MAX_N} "
+            f"({symmetry_group_order(n) // 2} relabeling tables)")
+    return (1 << num_edges(n)) - 1
+
+
 def canonical_red_mask(n: int, mask: int) -> int:
-    """Smallest red mask in the orbit of a coloring (relabelings + color swap)."""
-    full = (1 << num_edges(n)) - 1
+    """Smallest red mask in the orbit of a coloring (relabelings + color swap).
+
+    Refuses n > ORBIT_MAX_N.
+    """
+    full = _orbit_full_mask(n)
     if not 0 <= mask <= full:
         raise ValueError(f"red mask {mask:#x} out of range for n={n}")
     images = list(_relabeled_masks(n, mask))
@@ -227,8 +265,8 @@ def canonical_red_mask(n: int, mask: int) -> int:
 
 
 def is_canonical(n: int, mask: int) -> bool:
-    """Is this red mask the smallest in its orbit?"""
-    full = (1 << num_edges(n)) - 1
+    """Is this red mask the smallest in its orbit?  Refuses n > ORBIT_MAX_N."""
+    full = _orbit_full_mask(n)
     if not 0 <= mask <= full:
         raise ValueError(f"red mask {mask:#x} out of range for n={n}")
     swapped = full - mask
@@ -258,7 +296,7 @@ def symmetry_reduce(g: ColoredCocktail) -> str:
     """Canonical key of a coloring: compact form of its orbit-minimal red mask.
 
     Equal keys mean the colorings are isomorphic under pair relabelings
-    plus the color swap.
+    plus the color swap.  Refuses n > ORBIT_MAX_N.
     """
     return mask_to_compact(g.n, canonical_red_mask(g.n, g.red_mask()))
 
@@ -379,11 +417,16 @@ class ScanReport:
 
 
 def _examine(g: ColoredCocktail, mask: int, check: str, part: _Partial) -> None:
+    """Tally one coloring: g is solved once for every check.
+
+    Under reach/both the cover is verified and its branch counted; under
+    diam2/both the same cover (None after an assertion failure) seeds the
+    diameter-2 search, whose stage 1 re-checks it rather than trusting it.
+    """
     part.counts["examined"] += 1
+    cov = _solve_or_none(g)
     if check in ("reach", "both"):
-        try:
-            cov = solve(g)
-        except InternalInconsistencyError:
+        if cov is None:
             part.failed["assertion"].add(mask)
         else:
             key = branch_key(cov.certificate)
@@ -395,7 +438,7 @@ def _examine(g: ColoredCocktail, mask: int, check: str, part: _Partial) -> None:
             if max(cov.a.bit_count(), cov.b.bit_count()) < (g.n + 1) // 2:
                 part.failed["corollary"].add(mask)
     if check in ("diam2", "both"):
-        if exists_diam2_cover(g) is not None:
+        if _diam2_cover(g, cov) is not None:
             part.counts["diam2_found"] += 1
         else:
             part.failed["diam2"].add(mask)

@@ -375,6 +375,26 @@ def test_from_red_mask_blue_is_every_other_edge(n_mask):
         assert (g.red[u] >> v & 1, g.blue[u] >> v & 1) == (red, not red)
 
 
+def _per_edge_tables(n, mask):
+    """Reference red and blue rows, set one edge at a time in edge order."""
+    red, blue = [0] * n, [0] * n
+    for u, v in edge_list(n):
+        rows = red if mask & 1 else blue
+        rows[u] |= 1 << v
+        rows[v] |= 1 << u
+        mask >>= 1
+    return red, blue
+
+
+@pytest.mark.parametrize("n", range(2, 18, 2))
+def test_from_red_mask_equals_per_edge_reference(n):
+    rng = random.Random(n)
+    m = num_edges(n)
+    for mask in [0, (1 << m) - 1] + [rng.getrandbits(m) for _ in range(50)]:
+        g = from_red_mask(n, mask)
+        assert (list(g.red), list(g.blue)) == _per_edge_tables(n, mask), mask
+
+
 @settings(max_examples=30)
 @given(colorings(min_n=2, max_n=12))
 def test_red_mask_roundtrip(g):

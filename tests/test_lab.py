@@ -2,6 +2,7 @@
 
 import hashlib
 import itertools
+import multiprocessing
 import pathlib
 import random
 
@@ -11,7 +12,12 @@ from hypothesis import strategies as st
 
 from conftest import colorings
 from partycover import lab
-from partycover.cover import Cover, check_cover
+from partycover.cover import (
+    Cover,
+    InternalInconsistencyError,
+    branch_key,
+    check_cover,
+)
 from partycover.extremal import build_sharp_example
 from partycover.graphs import (
     BLUE,
@@ -33,6 +39,7 @@ from partycover.graphs import (
 from partycover.lab import (
     CANONICAL_NAMES_MAX_N,
     DIAM2_SEARCH_MAX_N,
+    ORBIT_MAX_N,
     SEED_STRIDE,
     ScanReport,
     _assignment_search,
@@ -44,7 +51,7 @@ from partycover.lab import (
     symmetry_group_order,
     symmetry_reduce,
 )
-from partycover.reach import star
+from partycover.reach import is_diam2_subset, star
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
@@ -257,6 +264,20 @@ def test_orbit_table_cache_is_bounded():
     assert lab._edge_perm_tables.cache_info().maxsize == 4
 
 
+@pytest.mark.parametrize("orbit_fn", [
+    lambda n, mask: canonical_red_mask(n, mask),
+    lambda n, mask: is_canonical(n, mask),
+    lambda n, mask: symmetry_reduce(from_red_mask(n, mask)),
+], ids=["canonical_red_mask", "is_canonical", "symmetry_reduce"])
+@pytest.mark.parametrize("mask", [0, (1 << num_edges(14)) - 1])
+def test_orbit_functions_refuse_n_above_bound(orbit_fn, mask):
+    assert ORBIT_MAX_N == 12
+    misses = lab._edge_perm_tables.cache_info().misses
+    with pytest.raises(ValueError, match="ORBIT_MAX_N"):
+        orbit_fn(14, mask)
+    assert lab._edge_perm_tables.cache_info().misses == misses
+
+
 def test_canonical_count_among_first_n8_masks_frozen():
     assert sum(is_canonical(8, m) for m in range(1 << 16)) == 4030
 
@@ -376,6 +397,80 @@ def test_scan_failure_names_raw_above_the_bound(monkeypatch):
     assert "failure.reach.1=" + report.reach_failures[1] in report.machine_lines()
     # no relabeling table was built for n = 12
     assert lab._edge_perm_tables.cache_info().misses == misses
+
+
+@pytest.mark.parametrize("method", ["spawn", "forkserver"])
+def test_scan_report_goldens_under_start_method(monkeypatch, method):
+    # the workers rebuild their state from a fresh import, not a fork
+    ctx = multiprocessing.get_context(method)
+    monkeypatch.setattr(lab.multiprocessing, "get_context", lambda _: ctx)
+    for kwargs, fixture in [
+        (dict(n=6, check="both", prune=True), "scan_n6_both_pruned.txt"),
+        (dict(n=10, mode="random", check="both", samples=300, seed=2),
+         "scan_n10_random_both.txt"),
+    ]:
+        report = scan(workers=2, **kwargs)
+        assert report.machine_text() == (FIXTURES / fixture).read_text()
+
+
+def test_scan_both_solves_each_coloring_once(monkeypatch):
+    calls = []
+    real = lab.solve
+
+    def counting_solve(g):
+        calls.append(g.red_mask())
+        return real(g)
+
+    monkeypatch.setattr(lab, "solve", counting_solve)
+    scan(10, "random", "both", samples=50, seed=3)
+    assert len(calls) == 50
+
+
+@pytest.mark.parametrize("kwargs", [
+    dict(n=6),
+    dict(n=10, mode="random", samples=500, seed=4),
+], ids=["n6-exhaustive", "n10-random"])
+def test_scan_both_is_reach_plus_diam2(kwargs):
+    def lines(check):
+        return dict(line.split("=", 1)
+                    for line in scan(check=check, **kwargs).machine_lines())
+
+    both, reach, diam2 = lines("both"), lines("reach"), lines("diam2")
+    assert both == {**reach, **diam2, "check": "both"}
+
+
+def test_scan_both_searches_on_after_an_assertion_failure(monkeypatch):
+    n, seed, samples = 10, 3, 160
+    masks = [random_red_mask(n, seed + SEED_STRIDE * i) for i in range(samples)]
+    # sample 154's constructive cover has in-set diameter 2 but no pair of
+    # stars covers V: without the cover only the assignment search finds one
+    real = lab.solve
+    g154 = from_red_mask(n, masks[154])
+    cov = real(g154)
+    assert is_diam2_subset(g154, cov.color_a, cov.a)
+    assert is_diam2_subset(g154, cov.color_b, cov.b)
+    full = (1 << n) - 1
+    stars = [star(g154, c, v) for c in COLORS for v in range(n)]
+    assert not any(s | t == full for s in stars for t in stars)
+    broken = {masks[0], masks[7], masks[154]}
+
+    def failing_solve(g):
+        if g.red_mask() in broken:
+            raise InternalInconsistencyError("injected", g)
+        return real(g)
+
+    clean = scan(n, "random", "both", samples=samples, seed=seed)
+    monkeypatch.setattr(lab, "solve", failing_solve)
+    report = scan(n, "random", "both", samples=samples, seed=seed)
+    assert report.assertion_failures == tuple(
+        mask_to_compact(n, m)
+        for m in sorted({canonical_red_mask(n, m) for m in broken}))
+    assert report.diam2_cover_found == samples
+    assert report.diam2_failures == ()
+    expected = dict(clean.branch_counts)
+    for m in broken:
+        expected[branch_key(real(from_red_mask(n, m)).certificate)] -= 1
+    assert report.branch_counts == expected
 
 
 def test_scan_workers_do_not_change_the_report():
