@@ -192,10 +192,13 @@ class ColoredCocktail:
 
     def red_mask(self) -> int:
         """Red-edge bitmask over the fixed edge ordering."""
+        n = self.n
         mask = 0
-        for k, (u, v) in enumerate(edge_list(self.n)):
-            if (self.red[u] >> v) & 1:
-                mask |= 1 << k
+        # the inverse of from_red_mask's runs: run u of the mask is row u
+        # from its first edge's v up, and the runs lie end to end, run 0 lowest
+        for u in range(n - 3, -1, -1):
+            start = u + 2 - (u & 1)
+            mask = mask << (n - start) | self.red[u] >> start
         return mask
 
     def __eq__(self, other: object) -> bool:
@@ -210,26 +213,67 @@ class ColoredCocktail:
         return f"ColoredCocktail({to_compact(self)!r})"
 
 
+@lru_cache(maxsize=EDGE_CACHE_SIZE)
+def _red_mask_plan(n: int) -> tuple[tuple[tuple[int, int, int], ...],
+                                    tuple[tuple[int, int], ...],
+                                    tuple[int, ...], tuple[int, ...]]:
+    """The tables from_red_mask uses at n, for one W x W bit matrix held in
+    one int, row r at bit r * W (W the next power of two >= n):
+
+    - runs: (keep, at, length) per vertex u < n - 2, moving its run of
+      mask bits (the edges (u, v), v > u) to row u;
+    - steps: (shift, swap) per j = W/2, W/4, ..., 1, the block swaps that
+      transpose the matrix.  Step j trades, in every 2j x 2j block, the
+      top-right j x j block for the bottom-left one: bit (r, c) with
+      r & j == 0 and c & j != 0 moves to (r + j, c - j), j * (W - 1)
+      higher, and back;
+    - rows: the bit offset of each row;
+    - others: each vertex's non-partner mask.
+    """
+    width = 1 << (n - 1).bit_length()
+    runs = []
+    for u in range(n - 2):
+        # v starts at u + 2 (even u) or u + 1 (odd u): v != u ^ 1
+        start = u + 2 - (u & 1)
+        runs.append(((1 << (n - start)) - 1, u * width + start, n - start))
+    steps = []
+    j = width >> 1
+    while j:
+        cols = sum(1 << c for c in range(width) if c & j)
+        rows = sum(1 << (r * width) for r in range(width) if not r & j)
+        steps.append((j * (width - 1), cols * rows))
+        j >>= 1
+    full = (1 << n) - 1
+    return (tuple(runs), tuple(steps), tuple(u * width for u in range(n)),
+            tuple(full ^ (3 << (u & ~1)) for u in range(n)))
+
+
 def from_red_mask(n: int, mask: int) -> ColoredCocktail:
-    """Build a coloring from its red-edge bitmask (edges not in it are blue)."""
+    """Build a coloring from its red-edge bitmask (edges not in it are blue).
+
+    The edge order gives each vertex u < n - 2 one run of mask bits, its
+    red neighbors v > u; each run is shifted into row u of one n x W bit
+    matrix (W the next power of two >= n).  That matrix is the upper
+    triangle of the red table; its mirror, the lower triangle, is its
+    transpose, made by log2(W) block swaps of shift/xor/and steps on the
+    whole matrix at once (Warren, *Hacker's Delight*, section 7-3).
+    """
     if not 0 <= mask < (1 << num_edges(n)):
         raise ValueError(f"red mask {mask:#x} out of range for n={n}")
-    red = [0] * n
-    # edge order gives each u < n - 2 one run of bits: (u, v) for v > u,
-    # v != u ^ 1, so v starts at u + 2 (even u) or u + 1 (odd u)
-    for u in range(n - 2):
-        start = u + 2 - (u & 1)
-        row = (mask & ((1 << (n - start)) - 1)) << start
-        mask >>= n - start
-        red[u] |= row
-        ub = 1 << u
-        while row:
-            low = row & -row
-            red[low.bit_length() - 1] |= ub
-            row ^= low
-    # every non-partner pair that is not red is blue
+    runs, steps, rows, others = _red_mask_plan(n)
+    upper = 0
+    for keep, at, length in runs:
+        upper |= (mask & keep) << at
+        mask >>= length
+    lower = upper
+    for shift, swap in steps:
+        t = ((lower >> shift) ^ lower) & swap
+        lower ^= t ^ (t << shift)
+    table = upper | lower
     full = (1 << n) - 1
-    blue = [full ^ (3 << (u & ~1)) ^ r for u, r in enumerate(red)]
+    red = [table >> at & full for at in rows]
+    # every non-partner pair that is not red is blue
+    blue = [o ^ r for o, r in zip(others, red)]
     return ColoredCocktail(n, red, blue, validate=False)
 
 

@@ -68,20 +68,29 @@ def star(g: ColoredCocktail, c: int, center: int) -> int:
 
 
 def _within2(adj: tuple[int, ...], members: int, middles: int) -> bool:
-    """Every pair inside members is an edge or has a common neighbor in middles."""
+    """Every pair inside members is an edge or has a common neighbor in middles.
+
+    Each u clears the later members it still needs one middle at a time:
+    for the highest needed v, the highest middle w in adj[u] & middles &
+    adj[v] is a common neighbor of u and every neighbor of w, so all of
+    adj[w] is struck from the need mask at once (no such w means {u, v}
+    is far).  v itself is struck explicitly, so each step clears at least
+    one bit and the loop ends even on an asymmetric ``validate=False``
+    table.  A vertex costs about log(deg) steps, not one per far pair.
+    """
     rest = members
     while rest:
         low = rest & -rest
-        u = low.bit_length() - 1
         rest ^= low
-        au = adj[u]
-        others = rest & ~au  # the neighbors of u are within 1 already
-        while others:
-            lov = others & -others
-            v = lov.bit_length() - 1
-            others ^= lov
-            if not au & adj[v] & middles:
+        au = adj[low.bit_length() - 1]
+        need = rest & ~au  # the neighbors of u are within 1 already
+        while need:
+            v = need.bit_length() - 1
+            hit = au & middles & adj[v]
+            if not hit:
                 return False
+            need ^= 1 << v
+            need &= ~adj[hit.bit_length() - 1]
     return True
 
 

@@ -10,6 +10,7 @@ from conftest import colorings
 from partycover.cover import parse_cover
 from partycover.graphs import (
     BLUE,
+    EDGE_CACHE_SIZE,
     RED,
     ColoredCocktail,
     GraphFormatError,
@@ -31,6 +32,7 @@ from partycover.graphs import (
     to_compact,
     vertex_list,
     vertex_mask,
+    _red_mask_plan,
 )
 
 
@@ -261,9 +263,9 @@ def test_parse_bare_header_builds_no_edge_table():
 
 
 def test_edge_table_caches_are_bounded():
-    for cached in (edge_list, edge_index):
+    for cached in (edge_list, edge_index, _red_mask_plan):
         bound = cached.cache_info().maxsize
-        assert bound is not None
+        assert bound == EDGE_CACHE_SIZE
         for n in range(2, 2 * bound + 6, 2):
             cached(n)
         assert cached.cache_info().currsize == bound
@@ -386,16 +388,18 @@ def _per_edge_tables(n, mask):
     return red, blue
 
 
-@pytest.mark.parametrize("n", range(2, 18, 2))
+# n = 18-66 take the transpose through widths 32, 64 and 128
+@pytest.mark.parametrize("n", range(2, 68, 2))
 def test_from_red_mask_equals_per_edge_reference(n):
     rng = random.Random(n)
     m = num_edges(n)
-    for mask in [0, (1 << m) - 1] + [rng.getrandbits(m) for _ in range(50)]:
+    top = 1 << (m - 1) if m else 0
+    for mask in [0, (1 << m) - 1, top] + [rng.getrandbits(m) for _ in range(50)]:
         g = from_red_mask(n, mask)
         assert (list(g.red), list(g.blue)) == _per_edge_tables(n, mask), mask
 
 
-@settings(max_examples=30)
-@given(colorings(min_n=2, max_n=12))
+@settings(max_examples=60)
+@given(colorings(min_n=2, max_n=64))
 def test_red_mask_roundtrip(g):
     assert from_red_mask(g.n, g.red_mask()) == g

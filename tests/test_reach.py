@@ -1,6 +1,8 @@
 """Distance-2 predicates, critical pairs, stars, subset checks."""
 
 import itertools
+import random
+import threading
 
 import pytest
 from hypothesis import given, settings
@@ -11,10 +13,13 @@ from partycover.extremal import build_sharp_example
 from partycover.graphs import (
     BLUE,
     RED,
+    ColoredCocktail,
     all_red,
     enumerate_colorings,
     flip,
     from_compact,
+    from_red_mask,
+    num_edges,
     vertex_list,
     vertex_mask,
 )
@@ -127,6 +132,61 @@ def test_subset_predicates_match_pairwise_definitions(gs, c):
         or any(g.color_of(u, w) == c == g.color_of(v, w)
                for w in verts if w not in (u, v))
         for u, v in pairs)
+
+
+def _large_colorings(n, rng):
+    """Red densities 0.1, 0.5 and 0.9, and the sharp example with each
+    edge flipped at p = 0.03 and 0.1."""
+    m = num_edges(n)
+    sharp = build_sharp_example(n).red_mask()
+    out = []
+    for p in (0.1, 0.5, 0.9):
+        out.append(sum(1 << k for k in range(m) if rng.random() < p))
+    for p in (0.03, 0.1):
+        out.append(sharp ^ sum(1 << k for k in range(m) if rng.random() < p))
+    return [from_red_mask(n, mask) for mask in out]
+
+
+@pytest.mark.parametrize("n", [16, 32, 64])
+def test_subset_predicates_match_pairwise_definitions_large_n(n):
+    """At large n the need mask of each vertex holds many far vertices,
+    which the n <= 10 Hypothesis oracle above rarely reaches."""
+    rng = random.Random(n)
+    full = (1 << n) - 1
+    answers = set()
+    for g in _large_colorings(n, rng):
+        for c in (RED, BLUE):
+            adj = g.adj(c)
+            sets = [full, star(g, c, rng.randrange(n))]
+            sets += [rng.getrandbits(n) for _ in range(3)]
+            for members in sets:
+                verts = vertex_list(members)
+                pairs = list(itertools.combinations(verts, 2))
+                reach = all(dist_le2(g, c, u, v) for u, v in pairs)
+                diam2 = all(
+                    adj[u] >> v & 1
+                    or any(adj[u] >> w & 1 and adj[v] >> w & 1 for w in verts)
+                    for u, v in pairs)
+                assert is_2reachable_set(g, c, members) == reach
+                assert is_diam2_subset(g, c, members) == diam2
+                if members == full:
+                    assert mono_diam_le2(g, c) == diam2
+                answers.update({reach, diam2})
+    assert answers == {False, True}
+
+
+def test_within2_returns_on_an_asymmetric_table():
+    """Vertex 2 is a red neighbor of 0, 1 and 3 but lists none of them,
+    so striking adj[2] alone would never clear a need."""
+    g = ColoredCocktail(4, (0b0100, 0b0100, 0, 0b0100), (0, 0, 0, 0),
+                        validate=False)
+    answers = []
+    worker = threading.Thread(daemon=True, target=lambda: answers.extend(
+        [is_2reachable_set(g, RED, 0b1011), mono_diam_le2(g, RED)]))
+    worker.start()
+    worker.join(timeout=10)
+    assert not worker.is_alive()
+    assert answers == [True, False]
 
 
 def test_diam2_implies_2reachable_exhaustive_n4():
