@@ -22,9 +22,9 @@ Branches, tried in order:
 
 Internal assertions that the mathematics guarantees (branch 3's endpoint
 claim, the vertex partition, the two neighborhood observations, the
-common neighbors of the shared vertex's partner pair, branch 4's
-disjointness) raise InternalInconsistencyError carrying the compact form
-of the offending coloring instead of failing silently.
+common neighbors of the shared vertex's partner pair) raise
+InternalInconsistencyError carrying the compact form of the offending
+coloring instead of failing silently.
 """
 
 from __future__ import annotations
@@ -276,18 +276,16 @@ def solve(g: ColoredCocktail) -> Cover:
                 return Cover(n, star(g, sc, u), sc, star(g, sc, u + 1), sc,
                              TwoStars(sc, u, u + 1))
 
-    red_crit = [cp for cp in critical_pairs(g, RED) if cp.is_edge]
-    blue_crit = [cp for cp in critical_pairs(g, BLUE) if cp.is_edge]
-    for e in red_crit:
-        for f in blue_crit:
-            if e.u in (f.u, f.v) or e.v in (f.u, f.v):
-                return _shared_vertex_cover(g, e, f)
-
+    # Branch 2 returned on every critical partner pair: all these are edges.
+    red_crit, blue_crit = critical_pairs(g, RED), critical_pairs(g, BLUE)
     p, q = _edge_ends(red_crit), _edge_ends(blue_crit)
     if p & q:
-        raise InternalInconsistencyError(
-            "critical edge vertex sets of the two colors must be disjoint "
-            "when no pair of critical edges shares a vertex", g)
+        # the lexicographically first red-critical edge meeting a
+        # blue-critical one, and the first blue-critical edge through it
+        e = next(e for e in red_crit if ((1 << e.u) | (1 << e.v)) & q)
+        f = next(f for f in blue_crit
+                 if e.u in (f.u, f.v) or e.v in (f.u, f.v))
+        return _shared_vertex_cover(g, e, f)
     return Cover(n, full & ~p, RED, full & ~q, BLUE, CriticalComplement(p, q))
 
 
@@ -406,15 +404,13 @@ def check_cover(g: ColoredCocktail, cover: Cover,
         return "bad shape"
     if (cover.a | cover.b) != full:
         return "not a cover"
-    if require_diam2:
-        if not is_diam2_subset(g, cover.color_a, cover.a):
-            return "A not diameter-2"
-        if not is_diam2_subset(g, cover.color_b, cover.b):
-            return "B not diameter-2"
-    if not is_2reachable_set(g, cover.color_a, cover.a):
-        return "A not 2-reachable"
-    if not is_2reachable_set(g, cover.color_b, cover.b):
-        return "B not 2-reachable"
+    # in-set middles are middles in V: a diameter-2 part is 2-reachable
+    within2, name = ((is_diam2_subset, "diameter-2") if require_diam2
+                     else (is_2reachable_set, "2-reachable"))
+    if not within2(g, cover.color_a, cover.a):
+        return f"A not {name}"
+    if not within2(g, cover.color_b, cover.b):
+        return f"B not {name}"
     if cover.certificate is not None and not cover.certificate.check(g, cover):
         return "certificate mismatch"
     return None

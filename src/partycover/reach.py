@@ -51,15 +51,10 @@ def critical_pairs(g: ColoredCocktail, c: int) -> list[CriticalPair]:
     A critical *edge* of color c necessarily carries the other color; the
     partner pairs are the only possible critical non-edges.
     """
-    out = []
-    adj = g.adj(c)
-    for u in range(g.n):
-        au = adj[u]
-        for v in range(u + 1, g.n):
-            if (au >> v) & 1 or au & adj[v]:
-                continue
-            out.append(CriticalPair(u, v, c, is_edge=v != (u ^ 1)))
-    return out
+    far: list[tuple[int, int]] = []
+    _within2(g.adj(c), (1 << g.n) - 1, -1, far)
+    return [CriticalPair(u, v, c, is_edge=v != (u ^ 1))
+            for u, v in sorted(far)]
 
 
 def star(g: ColoredCocktail, c: int, center: int) -> int:
@@ -67,7 +62,8 @@ def star(g: ColoredCocktail, c: int, center: int) -> int:
     return g.adj(c)[center] | (1 << center)
 
 
-def _within2(adj: tuple[int, ...], members: int, middles: int) -> bool:
+def _within2(adj: tuple[int, ...], members: int, middles: int,
+             far: list[tuple[int, int]] | None = None) -> bool:
     """Every pair inside members is an edge or has a common neighbor in middles.
 
     Each u clears the later members it still needs one middle at a time:
@@ -77,20 +73,28 @@ def _within2(adj: tuple[int, ...], members: int, middles: int) -> bool:
     is far).  v itself is struck explicitly, so each step clears at least
     one bit and the loop ends even on an asymmetric ``validate=False``
     table.  A vertex costs about log(deg) steps, not one per far pair.
+
+    With ``far`` None the walk returns False at the first far pair.  Given
+    a list, it appends every far pair (u, v), u < v, and walks on; the
+    pairs come u ascending, v descending within each u.
     """
     rest = members
     while rest:
         low = rest & -rest
         rest ^= low
-        au = adj[low.bit_length() - 1]
+        u = low.bit_length() - 1
+        au = adj[u]
         need = rest & ~au  # the neighbors of u are within 1 already
         while need:
             v = need.bit_length() - 1
-            hit = au & middles & adj[v]
-            if not hit:
-                return False
             need ^= 1 << v
-            need &= ~adj[hit.bit_length() - 1]
+            hit = au & middles & adj[v]
+            if hit:
+                need &= ~adj[hit.bit_length() - 1]
+            elif far is None:
+                return False
+            else:
+                far.append((u, v))
     return True
 
 

@@ -2,12 +2,14 @@
 
 import dataclasses
 import io
+import random
 
 import pytest
 from hypothesis import given, settings
 
 from conftest import colorings
 from partycover import cli
+from partycover import cover as cover_module
 from partycover.cover import (
     BRANCH_KEYS,
     Cover,
@@ -37,6 +39,7 @@ from partycover.graphs import (
     enumerate_colorings,
     from_compact,
     from_red_mask,
+    num_edges,
     vertex_list,
     vertex_mask,
 )
@@ -225,11 +228,27 @@ def _first_shared_pair(g):
 
 
 def test_apply_lemma_matches_solve():
-    for compact in ("8:6f0300", "8:3b0300", "8:6b2310", "8:ab1310",
-                    "8:1b5310"):
-        g = from_compact(compact)
-        e, f = _first_shared_pair(g)
-        assert apply_lemma(g, e, f) == solve(g)
+    """solve's branch-3 pair is the first (e, f) in lexicographic
+    nested-loop order: on the census's first coloring of each live lemma
+    key and on the seeded uniform n = 8, 10 and 16 colorings that reach
+    branch 3.  No n = 6 coloring does; the census's smallest lemma order
+    is 8."""
+    graphs = [from_compact(compact) for compact in (
+        "8:6f0300", "8:3b0300", "8:6b2310", "8:ab1310", "8:1b5310")]
+    for n, tries in ((8, 600), (10, 600), (16, 3000)):
+        rng = random.Random(n)
+        graphs += [from_red_mask(n, rng.getrandbits(num_edges(n)))
+                   for _ in range(tries)]
+    keys = []
+    for g in graphs:
+        cov = solve(g)
+        if isinstance(cov.certificate, (LemmaStars, LemmaC5Plus)):
+            e, f = _first_shared_pair(g)
+            assert apply_lemma(g, e, f) == cov
+            keys.append(cov.certificate.key)
+    assert set(keys) == {"lemma-i", "lemma-ii", "lemma-iii", "lemma-vi",
+                         "lemma-c5plus"}
+    assert len(keys) > 100
 
 
 def test_apply_lemma_rejects_bad_inputs():
@@ -338,6 +357,21 @@ def test_check_cover_diam2_reasons():
     assert check_cover(g, cov, require_diam2=True) == "A not diameter-2"
     cov2 = Cover(4, (1 << 4) - 1, BLUE, vertex_mask([2, 3]), BLUE)
     assert check_cover(g, cov2, require_diam2=True) == "B not diameter-2"
+
+
+def test_check_cover_diam2_skips_the_2reachable_walks(monkeypatch):
+    """A part with in-set middles has middles in V: once both parts pass
+    the diameter-2 check, the 2-reachable walks cannot fail."""
+    calls = []
+    real = cover_module.is_2reachable_set
+    monkeypatch.setattr(cover_module, "is_2reachable_set",
+                        lambda *args: calls.append(args) or real(*args))
+    g = build_sharp_example(8)
+    cov = solve(g)
+    assert check_cover(g, cov, require_diam2=True) is None
+    assert calls == []
+    assert check_cover(g, cov) is None
+    assert len(calls) == 2
 
 
 def test_check_cover_certificate_mismatch():

@@ -175,18 +175,31 @@ def test_subset_predicates_match_pairwise_definitions_large_n(n):
     assert answers == {False, True}
 
 
+@pytest.mark.parametrize("n", [16, 32, 64])
+def test_critical_pairs_complete_and_ordered_large_n(n):
+    """Every far pair, each once, in lexicographic order, where one vertex
+    has many far partners; the Hypothesis check above stops at n = 8."""
+    for g in _large_colorings(n, random.Random(n)):
+        for c in (RED, BLUE):
+            want = [(u, v) for u, v in itertools.combinations(range(n), 2)
+                    if not dist_le2(g, c, u, v)]
+            assert [(p.u, p.v) for p in critical_pairs(g, c)] == want
+
+
 def test_within2_returns_on_an_asymmetric_table():
     """Vertex 2 is a red neighbor of 0, 1 and 3 but lists none of them,
-    so striking adj[2] alone would never clear a need."""
+    so striking adj[2] alone would never clear a need.  critical_pairs
+    walks the same table collecting far pairs instead of stopping."""
     g = ColoredCocktail(4, (0b0100, 0b0100, 0, 0b0100), (0, 0, 0, 0),
                         validate=False)
     answers = []
     worker = threading.Thread(daemon=True, target=lambda: answers.extend(
-        [is_2reachable_set(g, RED, 0b1011), mono_diam_le2(g, RED)]))
+        [is_2reachable_set(g, RED, 0b1011), mono_diam_le2(g, RED),
+         critical_pairs(g, RED)]))
     worker.start()
     worker.join(timeout=10)
     assert not worker.is_alive()
-    assert answers == [True, False]
+    assert answers == [True, False, [CriticalPair(2, 3, RED, is_edge=False)]]
 
 
 def test_diam2_implies_2reachable_exhaustive_n4():
