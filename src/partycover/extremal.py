@@ -2,14 +2,23 @@
 
 A set is 2-reachable in color c exactly when it is a clique of the
 auxiliary graph joining u and v whenever their color-c distance is at
-most 2, so the extremal question is a maximum clique computation.  Both
-searches are branch-and-bound over bitmasks with the greedy-coloring
-bound of Tomita and Seki, and both return the clique they find.  The
-witness is the lexicographically smallest maximum set (smallest sorted
-vertex list): it is built lowest vertex first from a carried maximum
-clique, searching again only where the next vertex is not in it, and
-that search tries its low vertices first.  ``brute_max_2reachable`` is
-the independent subset-enumeration oracle for small n.
+most 2, so the extremal question is a maximum clique computation.
+``reach_adjacency`` builds that graph as one boolean square: the color-c
+rows packed side by side in one int, one shift, mask and multiply per
+middle vertex.  Both searches are branch-and-bound over bitmasks with
+the greedy-coloring bound of Tomita and Seki, and both return the
+clique they find.  At every node both first move the candidates
+adjacent to all other candidates into the clique in one step; the
+auxiliary graphs of near-extremal colorings are so dense that most
+candidates are of that kind, and the search branches only over the
+rest.  The witness is the lexicographically smallest maximum set
+(smallest sorted vertex list): it is built lowest vertex first from a
+carried maximum clique, searching again only where the next vertex is
+not in it, and that search tries its low vertices first.  Each step
+asks only whether some clique of the needed size goes through the next
+vertex, so which clique a search returns, the absorbed one included,
+does not change the witness.  ``brute_max_2reachable`` is the
+independent subset-enumeration oracle for small n.
 
 ``build_sharp_example`` produces the coloring showing n/2 cannot be
 improved: both colors peak at exactly n/2 because every partner pair is
@@ -29,18 +38,28 @@ BRUTE_FORCE_MAX_N = 16
 
 
 def reach_adjacency(g: ColoredCocktail, c: int) -> tuple[int, ...]:
-    """Aux-graph neighbor masks: u ~ v iff color-c distance <= 2 (u != v)."""
+    """Aux-graph neighbor masks: u ~ v iff color-c distance <= 2 (u != v).
+
+    Row u is ``adj[u] | OR(adj[w] for w in adj[u])`` minus u, the boolean
+    square of the color-c table plus the table itself.  The rows lie in
+    one int, row u at bit u * n, and the square is taken one middle w at
+    a time: ``table >> w & col`` (col has one bit at the start of each
+    row) holds bit u * n exactly where adj[u] holds w, that is column w,
+    and multiplying it by adj[w] puts adj[w] into each of those rows.
+    A row slot is n bits wide and adj[w] < 2**n, so the product has no
+    carries, and no symmetry of the table is assumed.
+    """
     adj = g.adj(c)
-    out = []
-    for u, au in enumerate(adj):
-        mask = au
-        rest = au
-        while rest:  # everything one color-c step past a neighbor of u
-            low = rest & -rest
-            mask |= adj[low.bit_length() - 1]
-            rest ^= low
-        out.append(mask & ~(1 << u))
-    return tuple(out)
+    n = g.n
+    table = 0
+    for row in reversed(adj):
+        table = table << n | row
+    col = ((1 << n * n) - 1) // ((1 << n) - 1)  # bit u * n for every u < n
+    square = table
+    for w, row in enumerate(adj):
+        square |= (table >> w & col) * row
+    full = (1 << n) - 1
+    return tuple(square >> u * n & full & ~(1 << u) for u in range(n))
 
 
 def _color_sort(adj: tuple[int, ...], cand: int) -> tuple[list[int], list[int]]:
@@ -63,13 +82,38 @@ def _color_sort(adj: tuple[int, ...], cand: int) -> tuple[list[int], list[int]]:
     return order, bounds
 
 
+def _universal(adj: tuple[int, ...], cand: int) -> int:
+    """Vertices of cand adjacent to every other vertex of cand.
+
+    They are pairwise adjacent, so they form a clique, and each clique of
+    the rest of cand stays one with all of them added.
+    """
+    univ = 0
+    rest = cand
+    while rest:
+        low = rest & -rest
+        if cand & ~adj[low.bit_length() - 1] == low:
+            univ |= low
+        rest ^= low
+    return univ
+
+
 def _max_clique(adj: tuple[int, ...], cand: int) -> tuple[int, int]:
-    """(size, mask) of a maximum clique inside the candidate mask."""
+    """(size, mask) of a maximum clique inside the candidate mask.
+
+    Each node first absorbs the universal vertices of its candidates into
+    the clique (a maximum clique of cand is one of the rest plus all of
+    them), then branches over the rest.
+    """
     best = 0
     best_mask = 0
 
     def expand(clique: int, size: int, cand: int) -> None:
         nonlocal best, best_mask
+        univ = _universal(adj, cand)
+        clique |= univ
+        size += univ.bit_count()
+        cand ^= univ
         if not cand:
             if size > best:
                 best, best_mask = size, clique
@@ -89,17 +133,28 @@ def _max_clique(adj: tuple[int, ...], cand: int) -> tuple[int, int]:
 def _find_clique(adj: tuple[int, ...], cand: int, need: int) -> int | None:
     """Mask of a clique of exactly ``need`` vertices inside cand, or None.
 
-    Only vertices whose greedy color is at least ``need`` can start one
-    (the rest use fewer than ``need`` colors, so any such clique holds one
-    of them); they are tried lowest vertex first, so low cliques come back.
+    The universal vertices U of cand (``_universal``) extend every clique
+    of the rest, so the lowest ``need`` of them are returned when there
+    are that many, and otherwise ``need - |U|`` more are searched for
+    among the rest.  There only vertices whose greedy color is at least
+    that many can start one (the rest use fewer colors, so any such
+    clique holds one of them); they are tried lowest vertex first.
     """
     if need <= 0:
         return 0
+    univ = _universal(adj, cand)
+    have = univ.bit_count()
+    if have >= need:
+        for _ in range(have - need):  # drop the highest
+            univ ^= 1 << univ.bit_length() - 1
+        return univ
+    need -= have
+    cand ^= univ
     order, bounds = _color_sort(adj, cand)
     for v in sorted(order[bisect_left(bounds, need):]):
         found = _find_clique(adj, cand & adj[v], need - 1)
         if found is not None:
-            return found | 1 << v
+            return found | univ | 1 << v
         cand &= ~(1 << v)
     return None
 

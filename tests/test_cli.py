@@ -89,6 +89,17 @@ def test_maxreach_single_color(sharp8_file, capsys):
     assert out.count("color") == 1 and "color 2" not in out
 
 
+def test_maxreach_sharp_64(tmp_path, capsys):
+    """At n = 64 the auxiliary rows fill a whole 64-bit word."""
+    assert cli.main(["gen", "--sharp", "64"]) == 0
+    path = tmp_path / "sharp64.txt"
+    path.write_text(capsys.readouterr().out)
+    assert cli.main(["maxreach", str(path)]) == 0
+    evens = " ".join(str(v) for v in range(0, 64, 2))
+    assert capsys.readouterr().out == "".join(
+        f"color {c}: max 2-reachable size 32, witness {evens}\n" for c in (1, 2))
+
+
 def test_maxreach_oracle_bound_is_usage_error(tmp_path, capsys):
     path = tmp_path / "big.txt"
     path.write_text(serialize(build_sharp_example(18)))

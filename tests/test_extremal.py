@@ -2,6 +2,7 @@
 
 import itertools
 import pathlib
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -12,6 +13,7 @@ from partycover.extremal import (
     BRUTE_FORCE_MAX_N,
     _find_clique,
     _max_clique,
+    _universal,
     brute_max_2reachable,
     build_sharp_example,
     max_2reachable,
@@ -20,10 +22,12 @@ from partycover.extremal import (
 from partycover.graphs import (
     BLUE,
     RED,
+    ColoredCocktail,
     all_red,
     enumerate_colorings,
     from_compact,
     from_red_mask,
+    num_edges,
     vertex_list,
     vertex_mask,
 )
@@ -146,13 +150,127 @@ def test_clique_searches_agree(g, c, cand, need):
         assert found.bit_count() == need and _is_clique(adj, found)
 
 
-@given(colorings(max_n=12), st.sampled_from((RED, BLUE)))
-@settings(max_examples=60)
-def test_reach_adjacency_matches_dist_le2(g, c):
-    adj = reach_adjacency(g, c)
-    for u in range(g.n):
-        assert adj[u] == vertex_mask(
-            v for v in range(g.n) if v != u and dist_le2(g, c, u, v))
+def _planted(n, p, rng):
+    """The sharp example with each edge flipped with probability p."""
+    flips = sum(1 << k for k in range(num_edges(n)) if rng.random() < p)
+    return from_red_mask(n, build_sharp_example(n).red_mask() ^ flips)
+
+
+def test_reach_adjacency_matches_dist_le2():
+    """Every even n up to 66, so the packed square runs at every row
+    width from 2 to 66, past one 64-bit word: the empty and full red
+    masks, the last edge alone, uniform masks and planted near-extremal
+    colorings."""
+    rng = random.Random(66)
+    for n in range(2, 68, 2):
+        m = num_edges(n)
+        masks = {0, (1 << m) - 1, 1 << m >> 1, rng.getrandbits(m),
+                 rng.getrandbits(m)}
+        graphs = [from_red_mask(n, mask) for mask in sorted(masks)]
+        graphs += [_planted(n, p, rng) for p in (0.03, 0.1)]
+        for g in graphs:
+            for c in (RED, BLUE):
+                adj = reach_adjacency(g, c)
+                for u in range(n):
+                    assert adj[u] == vertex_mask(
+                        v for v in range(n) if v != u and dist_le2(g, c, u, v))
+
+
+def _row_or(adj, u):
+    """adj[u] and everything one step past a neighbor of u, minus u."""
+    mask = adj[u]
+    for w in vertex_list(adj[u]):
+        mask |= adj[w]
+    return mask & ~(1 << u)
+
+
+def test_reach_adjacency_on_asymmetric_tables():
+    """Unchecked tables that are not symmetric and may hold loops: row u
+    is still adj[u] OR the rows adj[u] lists, minus u."""
+    g = ColoredCocktail(4, (0b0100, 0b0100, 0, 0b0100), (0, 0, 0, 0),
+                        validate=False)
+    assert reach_adjacency(g, RED) == (0b0100, 0b0100, 0, 0b0100)
+    rng = random.Random(5)
+    for n in (2, 8, 30, 64, 66):
+        rows = [tuple(rng.getrandbits(n) & rng.getrandbits(n)
+                      for _ in range(n)) for _ in range(2)]
+        g = ColoredCocktail(n, *rows, validate=False)
+        for c in (RED, BLUE):
+            adj = g.adj(c)
+            assert reach_adjacency(g, c) == tuple(
+                _row_or(adj, u) for u in range(n))
+
+
+def _with_universal(n, k, rng):
+    """A symmetric random graph on n vertices in which k random vertices
+    are adjacent to all others."""
+    adj = [0] * n
+    for u, v in itertools.combinations(range(n), 2):
+        if rng.random() < 0.5:
+            adj[u] |= 1 << v
+            adj[v] |= 1 << u
+    full = (1 << n) - 1
+    for u in rng.sample(range(n), k):
+        adj[u] = full ^ 1 << u
+        for v in range(n):
+            if v != u:
+                adj[v] |= 1 << u
+    return tuple(adj)
+
+
+def test_clique_searches_absorb_universal_vertices():
+    """Dense auxiliary graphs, where many candidates are universal: for
+    need below their number _find_clique returns some of them, above it
+    it searches the other candidates for the rest."""
+    rng = random.Random(12)
+    tables = []
+    for n in (4, 8, 12):
+        tables += [reach_adjacency(all_red(n), c) for c in (RED, BLUE)]
+        tables += [reach_adjacency(_planted(n, p, rng), c)
+                   for p in (0.03, 0.1, 0.3) for c in (RED, BLUE)]
+        tables += [_with_universal(n, k, rng) for k in (1, n // 3, n // 2)]
+    branches = set()
+    for adj in tables:
+        n = len(adj)
+        full = (1 << n) - 1
+        for cand in (full, rng.getrandbits(n) | rng.getrandbits(n)):
+            univ = _universal(adj, cand)
+            assert univ == vertex_mask(v for v in vertex_list(cand)
+                                       if cand & ~adj[v] == 1 << v)
+            size, clique = _max_clique(adj, cand)
+            assert clique & ~cand == 0 and clique.bit_count() == size
+            assert _is_clique(adj, clique)
+            verts = vertex_list(cand)
+            assert size == max(
+                k for k in range(len(verts) + 1)
+                if any(_is_clique(adj, vertex_mask(combo))
+                       for combo in itertools.combinations(verts, k)))
+            for need in range(1, len(verts) + 2):
+                found = _find_clique(adj, cand, need)
+                if size < need:
+                    assert found is None
+                    continue
+                assert found is not None and found & ~cand == 0
+                assert found.bit_count() == need and _is_clique(adj, found)
+                if need < univ.bit_count():
+                    branches.add("truncate")
+                elif need > univ.bit_count() > 0:
+                    branches.add("search")
+    assert branches == {"truncate", "search"}
+
+
+@pytest.mark.parametrize("n", [12, 14, 16])
+def test_oracles_on_planted_colorings(n):
+    """The benchmark's family at sizes the oracles reach: the sharp
+    example flipped at p = 0.01, 0.03 and 0.1, whose auxiliary graphs are
+    far from complete."""
+    rng = random.Random(n)
+    for p in (0.01, 0.03, 0.1):
+        g = _planted(n, p, rng)
+        for c in (RED, BLUE):
+            size, witness = max_2reachable(g, c)
+            assert size == brute_max_2reachable(g, c)
+            assert (size, witness) == _lex_first_max(g, c)
 
 
 def test_sharp_example_maxima():
