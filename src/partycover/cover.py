@@ -434,9 +434,12 @@ def _witness_ok(g: ColoredCocktail, wit: LemmaWitness) -> bool:
 
 def _c5plus_ok(g: ColoredCocktail, color: int, parts: tuple[int, ...],
                members: int) -> bool:
-    """Nonempty pairwise-disjoint parts, uniting to the set, consecutive
-    parts completely joined in the color (cyclically)."""
-    if len(parts) < 5:
+    """Five nonempty pairwise-disjoint parts, uniting to the set,
+    consecutive parts completely joined in the color (cyclically).
+
+    Exactly five: a blown-up 5-cycle has diameter <= 2, a longer cycle
+    need not."""
+    if len(parts) != 5:
         return False
     union = 0
     for part in parts:
@@ -446,9 +449,8 @@ def _c5plus_ok(g: ColoredCocktail, color: int, parts: tuple[int, ...],
     if union != members:
         return False
     adj = g.adj(color)
-    k = len(parts)
-    for i in range(k):
-        left, right = parts[i], parts[(i + 1) % k]
+    for i in range(5):
+        left, right = parts[i], parts[(i + 1) % 5]
         m = left
         while m:
             low = m & -m

@@ -5,20 +5,23 @@ auxiliary graph joining u and v whenever their color-c distance is at
 most 2, so the extremal question is a maximum clique computation.
 ``reach_adjacency`` builds that graph as one boolean square: the color-c
 rows packed side by side in one int, one shift, mask and multiply per
-middle vertex.  Both searches are branch-and-bound over bitmasks with
-the greedy-coloring bound of Tomita and Seki, and both return the
-clique they find.  At every node both first move the candidates
-adjacent to all other candidates into the clique in one step; the
-auxiliary graphs of near-extremal colorings are so dense that most
-candidates are of that kind, and the search branches only over the
-rest.  The witness is the lexicographically smallest maximum set
-(smallest sorted vertex list): it is built lowest vertex first from a
-carried maximum clique, searching again only where the next vertex is
-not in it, and that search tries its low vertices first.  Each step
-asks only whether some clique of the needed size goes through the next
-vertex, so which clique a search returns, the absorbed one included,
-does not change the witness.  ``brute_max_2reachable`` is the
-independent subset-enumeration oracle for small n.
+middle vertex.  One search answers every question asked of that graph:
+``_find_clique`` returns a clique of at least a given size, or None,
+by branch-and-bound over bitmasks with the greedy-coloring bound of
+Tomita and Seki.  At every node it first moves the candidates adjacent
+to all other candidates into the clique in one step; the auxiliary
+graphs of near-extremal colorings are so dense that most candidates are
+of that kind, and the search branches only over the rest.  The maximum
+is found by growing each clique it returns to a maximal one and asking
+for one vertex more, until no larger clique exists.  The witness is the
+lexicographically smallest maximum set (smallest sorted vertex list): it
+is built lowest vertex first from a carried maximum clique, searching
+again only where the next vertex is not in it, and that search tries its
+low vertices first.  Each step asks only whether some clique of the
+needed size goes through the next vertex, so which clique a search
+returns, the absorbed one included, does not change the witness.
+``brute_max_2reachable`` is the independent subset-enumeration oracle
+for small n.
 
 ``build_sharp_example`` produces the coloring showing n/2 cannot be
 improved: both colors peak at exactly n/2 because every partner pair is
@@ -30,7 +33,7 @@ from __future__ import annotations
 import itertools
 from bisect import bisect_left
 
-from .graphs import BLUE, RED, ColoredCocktail, from_red_set, vertex_mask
+from .graphs import BLUE, RED, ColoredCocktail, from_red_set, vertex_list, vertex_mask
 from .reach import is_2reachable_set
 
 #: brute_max_2reachable enumerates all 2**n subsets; refuse beyond this.
@@ -98,55 +101,21 @@ def _universal(adj: tuple[int, ...], cand: int) -> int:
     return univ
 
 
-def _max_clique(adj: tuple[int, ...], cand: int) -> tuple[int, int]:
-    """(size, mask) of a maximum clique inside the candidate mask.
-
-    Each node first absorbs the universal vertices of its candidates into
-    the clique (a maximum clique of cand is one of the rest plus all of
-    them), then branches over the rest.
-    """
-    best = 0
-    best_mask = 0
-
-    def expand(clique: int, size: int, cand: int) -> None:
-        nonlocal best, best_mask
-        univ = _universal(adj, cand)
-        clique |= univ
-        size += univ.bit_count()
-        cand ^= univ
-        if not cand:
-            if size > best:
-                best, best_mask = size, clique
-            return
-        order, bounds = _color_sort(adj, cand)
-        for i in range(len(order) - 1, -1, -1):
-            if size + bounds[i] <= best:
-                return
-            v = order[i]
-            expand(clique | 1 << v, size + 1, cand & adj[v])
-            cand &= ~(1 << v)
-
-    expand(0, 0, cand)
-    return best, best_mask
-
-
 def _find_clique(adj: tuple[int, ...], cand: int, need: int) -> int | None:
-    """Mask of a clique of exactly ``need`` vertices inside cand, or None.
+    """Mask of a clique of at least ``need`` vertices inside cand, or None.
 
     The universal vertices U of cand (``_universal``) extend every clique
-    of the rest, so the lowest ``need`` of them are returned when there
-    are that many, and otherwise ``need - |U|`` more are searched for
-    among the rest.  There only vertices whose greedy color is at least
-    that many can start one (the rest use fewer colors, so any such
-    clique holds one of them); they are tried lowest vertex first.
+    of the rest, so all of them are returned when there are at least
+    ``need``, and otherwise ``need - |U|`` more are searched for among
+    the rest.  There only vertices whose greedy color is at least that
+    many can start one (the rest use fewer colors, so any such clique
+    holds one of them); they are tried lowest vertex first.
     """
     if need <= 0:
         return 0
     univ = _universal(adj, cand)
     have = univ.bit_count()
     if have >= need:
-        for _ in range(have - need):  # drop the highest
-            univ ^= 1 << univ.bit_length() - 1
         return univ
     need -= have
     cand ^= univ
@@ -162,18 +131,32 @@ def _find_clique(adj: tuple[int, ...], cand: int, need: int) -> int | None:
 def max_2reachable(g: ColoredCocktail, c: int) -> tuple[int, int]:
     """(size, witness mask) of a largest color-c 2-reachable subset.
 
-    The witness is the lexicographically smallest maximum set.  It is
-    built lowest vertex first while carrying a maximum clique that
-    completes the vertices taken so far: a vertex in that clique is taken
-    at once, any other is taken only if ``_find_clique`` returns a new
-    completion through it, and is dropped otherwise.
+    The maximum: grow a clique to a maximal one and ask ``_find_clique``
+    for one vertex more, until it finds none; that last call is the
+    optimality proof.  The witness is the lexicographically smallest
+    maximum set.  It is built lowest vertex first while carrying a
+    maximum clique that completes the vertices taken so far: a vertex in
+    that clique is taken at once, any other is taken only if
+    ``_find_clique`` returns a new completion through it, and is dropped
+    otherwise.
     """
     adj = reach_adjacency(g, c)
     cand = (1 << g.n) - 1
-    size, clique = _max_clique(adj, cand)
+    found: int | None = 0
+    while found is not None:  # grow found to a maximal clique, ask for one more
+        clique = found
+        common = cand
+        for u in vertex_list(clique):
+            common &= adj[u]
+        while common:
+            low = common & -common
+            clique |= low
+            common &= adj[low.bit_length() - 1]
+        size = clique.bit_count()
+        found = _find_clique(adj, cand, size + 1)
     members = 0
     need = size
-    while need:  # invariant: clique & cand is a clique of need vertices
+    while need:  # invariant: clique & cand holds a clique of >= need vertices
         low = cand & -cand
         v = low.bit_length() - 1
         if not clique & low:

@@ -47,7 +47,7 @@ from .graphs import (
     num_edges,
     random_red_mask,
 )
-from .reach import is_diam2_subset, star
+from .reach import _within2, is_diam2_subset, star
 
 #: Complete diameter-2 cover search walks 3**n assignments; refuse beyond this.
 DIAM2_SEARCH_MAX_N = 10
@@ -107,10 +107,11 @@ def _diam2_cover(g: ColoredCocktail, cov: Cover | None) -> Cover | None:
     whatever the certificate says; (2) try every pair of closed stars (a
     closed star always has in-set diameter <= 2 through its center); (3)
     exhaustive assignment search putting each vertex in A, B, or both,
-    pruning a branch only when a pair inside a part can never get an
-    in-part middle even if all unassigned vertices join it.  Stages 2
-    and 3 skip (blue, red): its cover (A, B) is the (red, blue) cover
-    (B, A), which they try first.
+    cutting a branch as soon as a pair inside a part has no edge and no
+    middle among the part and the unassigned vertices (``_within2``), so
+    every leaf it reaches is a cover.  Stages 2 and 3 skip (blue, red):
+    its cover (A, B) is the (red, blue) cover (B, A), which they try
+    first.
     """
     n = g.n
     full = (1 << n) - 1
@@ -134,39 +135,29 @@ def _diam2_cover(g: ColoredCocktail, cov: Cover | None) -> Cover | None:
 
 def _assignment_search(g: ColoredCocktail, ca: int,
                        cb: int) -> tuple[int, int] | None:
-    """First A/B/both assignment whose parts have in-set diameter <= 2."""
+    """First A/B/both assignment whose parts have in-set diameter <= 2.
+
+    Vertices are placed in order, each in A, then B, then both.  A branch
+    is cut unless every pair inside each part has an edge or a middle
+    among the part and the vertices not placed yet: a valid cover below
+    it would need one.  At the last vertex nothing is left unplaced, so
+    each leaf reached is a cover.
+    """
     n = g.n
     full = (1 << n) - 1
     adj_a, adj_b = g.adj(ca), g.adj(cb)
 
-    def viable(adj: tuple[int, ...], v: int, members: int, pool: int) -> bool:
-        # every earlier member must reach v by an edge or a middle that
-        # could still end up in the part
-        av = adj[v]
-        far = members & ~av & ~(1 << v)
-        while far:
-            low = far & -far
-            far ^= low
-            if not av & adj[low.bit_length() - 1] & pool:
-                return False
-        return True
-
     def rec(v: int, a_mask: int, b_mask: int) -> tuple[int, int] | None:
         if v == n:
-            if is_diam2_subset(g, ca, a_mask) and is_diam2_subset(g, cb, b_mask):
-                return (a_mask, b_mask)
-            return None
+            return (a_mask, b_mask)
         bit = 1 << v
         after = full & ~((bit << 1) - 1)
         for to_a, to_b in ((bit, 0), (0, bit), (bit, bit)):
             na, nb = a_mask | to_a, b_mask | to_b
-            if to_a and not viable(adj_a, v, na, na | after):
-                continue
-            if to_b and not viable(adj_b, v, nb, nb | after):
-                continue
-            found = rec(v + 1, na, nb)
-            if found is not None:
-                return found
+            if _within2(adj_a, na, na | after) and _within2(adj_b, nb, nb | after):
+                found = rec(v + 1, na, nb)
+                if found is not None:
+                    return found
         return None
 
     return rec(0, 0, 0)

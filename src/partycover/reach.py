@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import BLUE, RED, ColoredCocktail, flip
+from .graphs import BLUE, RED, ColoredCocktail
 
 
 def dist_le2(g: ColoredCocktail, c: int, u: int, v: int) -> bool:
@@ -38,11 +38,6 @@ class CriticalPair:
     v: int
     color: int
     is_edge: bool
-
-    @property
-    def edge_color(self) -> int | None:
-        """Color actually carried by the pair (the other color), None if non-edge."""
-        return flip(self.color) if self.is_edge else None
 
 
 def critical_pairs(g: ColoredCocktail, c: int) -> list[CriticalPair]:

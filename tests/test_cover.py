@@ -215,6 +215,23 @@ def test_c5plus_parts_need_not_be_independent():
     assert verify_cover(g, cov)
 
 
+def test_c5plus_certificate_needs_exactly_five_parts():
+    """Splitting a part of a valid c5plus certificate gives a cyclic
+    6-part chain over the same set.  The parts still pass the set checks
+    but a blown-up 6-cycle need not have diameter 2, so the certificate
+    must be refused."""
+    g = from_compact("10:c9d54450ae")
+    cov = solve(g)
+    cert = cov.certificate
+    assert cert.parts_a == (256, 1, 8, 512, 20)
+    assert check_cover(g, cov, require_diam2=True) is None
+    forged = dataclasses.replace(cert, parts_a=(256, 1, 8, 512, 4, 16))
+    forged_cov = dataclasses.replace(cov, certificate=forged)
+    assert check_cover(g, forged_cov) == "certificate mismatch"
+    assert check_cover(g, forged_cov, require_diam2=True) == \
+        "certificate mismatch"
+
+
 # --- apply_lemma: the public entry to the shared-vertex case analysis
 
 

@@ -12,7 +12,6 @@ from conftest import colorings
 from partycover.extremal import (
     BRUTE_FORCE_MAX_N,
     _find_clique,
-    _max_clique,
     _universal,
     brute_max_2reachable,
     build_sharp_example,
@@ -128,6 +127,26 @@ def _is_clique(adj, mask):
     return all(mask & ~(1 << v) & ~adj[v] == 0 for v in vertex_list(mask))
 
 
+def _clique_number(adj, cand):
+    """Largest k such that some k vertices of cand are pairwise adjacent."""
+    verts = vertex_list(cand)
+    return max(k for k in range(len(verts) + 1)
+               if any(_is_clique(adj, vertex_mask(combo))
+                      for combo in itertools.combinations(verts, k)))
+
+
+def _check_find_clique(adj, cand, need, omega):
+    """None exactly when need exceeds the clique number, otherwise a
+    clique inside cand with at least need vertices."""
+    found = _find_clique(adj, cand, need)
+    if need > omega:
+        assert found is None
+    else:
+        assert found is not None and found & ~cand == 0
+        assert found.bit_count() >= need and _is_clique(adj, found)
+    return found
+
+
 @given(colorings(max_n=10), st.sampled_from((RED, BLUE)),
        st.integers(min_value=0, max_value=(1 << 10) - 1),
        st.integers(min_value=0, max_value=11))
@@ -135,19 +154,10 @@ def _is_clique(adj, mask):
 def test_clique_searches_agree(g, c, cand, need):
     adj = reach_adjacency(g, c)
     cand &= (1 << g.n) - 1
-    size, clique = _max_clique(adj, cand)
-    assert clique & ~cand == 0 and clique.bit_count() == size
-    assert _is_clique(adj, clique)
-    verts = vertex_list(cand)
-    assert size == max(k for k in range(len(verts) + 1)
-                       if any(_is_clique(adj, vertex_mask(combo))
-                              for combo in itertools.combinations(verts, k)))
-    found = _find_clique(adj, cand, need)
-    if size < need:
-        assert found is None
-    else:
-        assert found is not None and found & ~cand == 0
-        assert found.bit_count() == need and _is_clique(adj, found)
+    omega = _clique_number(adj, cand)
+    _check_find_clique(adj, cand, need, omega)
+    _check_find_clique(adj, cand, omega, omega)
+    _check_find_clique(adj, cand, omega + 1, omega)
 
 
 def _planted(n, p, rng):
@@ -220,7 +230,7 @@ def _with_universal(n, k, rng):
 
 def test_clique_searches_absorb_universal_vertices():
     """Dense auxiliary graphs, where many candidates are universal: for
-    need below their number _find_clique returns some of them, above it
+    need up to their number _find_clique returns all of them, above it
     it searches the other candidates for the rest."""
     rng = random.Random(12)
     tables = []
@@ -237,26 +247,15 @@ def test_clique_searches_absorb_universal_vertices():
             univ = _universal(adj, cand)
             assert univ == vertex_mask(v for v in vertex_list(cand)
                                        if cand & ~adj[v] == 1 << v)
-            size, clique = _max_clique(adj, cand)
-            assert clique & ~cand == 0 and clique.bit_count() == size
-            assert _is_clique(adj, clique)
-            verts = vertex_list(cand)
-            assert size == max(
-                k for k in range(len(verts) + 1)
-                if any(_is_clique(adj, vertex_mask(combo))
-                       for combo in itertools.combinations(verts, k)))
-            for need in range(1, len(verts) + 2):
-                found = _find_clique(adj, cand, need)
-                if size < need:
-                    assert found is None
-                    continue
-                assert found is not None and found & ~cand == 0
-                assert found.bit_count() == need and _is_clique(adj, found)
-                if need < univ.bit_count():
-                    branches.add("truncate")
-                elif need > univ.bit_count() > 0:
+            omega = _clique_number(adj, cand)
+            for need in range(1, cand.bit_count() + 2):
+                found = _check_find_clique(adj, cand, need, omega)
+                if need <= univ.bit_count():
+                    assert found == univ
+                    branches.add("universal")
+                elif univ and found is not None:
                     branches.add("search")
-    assert branches == {"truncate", "search"}
+    assert branches == {"universal", "search"}
 
 
 @pytest.mark.parametrize("n", [12, 14, 16])

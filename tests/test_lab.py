@@ -124,6 +124,36 @@ def test_assignment_search_blue_red_mirrors_red_blue(g):
                            require_diam2=True) is None
 
 
+def _first_assignment(g, ca, cb):
+    """Brute reference for _assignment_search: walk all 3**n A/B/both
+    assignments in the search's order (vertex 0 outermost, A before B
+    before both) and return the first whose parts both have in-set
+    diameter <= 2."""
+    for places in itertools.product(((1, 0), (0, 1), (1, 1)), repeat=g.n):
+        a = sum(1 << v for v, (in_a, _) in enumerate(places) if in_a)
+        b = sum(1 << v for v, (_, in_b) in enumerate(places) if in_b)
+        if is_diam2_subset(g, ca, a) and is_diam2_subset(g, cb, b):
+            return (a, b)
+    return None
+
+
+def test_assignment_search_matches_brute_walk():
+    """Stage 3 never runs inside exists_diam2_cover at n <= 8, so the
+    n = 6 digest does not reach it: compare the search itself with the
+    brute walk on every n = 4 coloring and seeded n = 6 colorings, for
+    every color pair the search can be given."""
+    rng = random.Random(36)
+    graphs = list(enumerate_colorings(4))
+    graphs += [from_red_mask(6, rng.getrandbits(num_edges(6))) for _ in range(40)]
+    answers = []
+    for g in graphs:
+        for ca, cb in lab._COLOR_PAIRS + ((BLUE, RED),):
+            expected = _first_assignment(g, ca, cb)
+            assert _assignment_search(g, ca, cb) == expected
+            answers.append(expected is None)
+    assert any(answers) and not all(answers)
+
+
 #: Uniform n = 10 colorings that need the assignment search (stage 3), and
 #: the (a, color_a, b, color_b) it returns, frozen from the four-pair search.
 STAGE3_COVERS = {

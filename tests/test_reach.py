@@ -104,9 +104,6 @@ def test_critical_pair_structure(g):
             assert p.is_edge == (p.v != (p.u ^ 1))
             if p.is_edge:
                 assert g.color_of(p.u, p.v) == flip(c)
-                assert p.edge_color == flip(c)
-            else:
-                assert p.edge_color is None
             assert not dist_le2(g, c, p.u, p.v)
 
 
