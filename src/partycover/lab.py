@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import itertools
 import multiprocessing
+import pickle
 import time
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -62,6 +63,15 @@ CANONICAL_NAMES_MAX_N = 10
 #: Largest n the orbit functions accept: they build (n/2)! * 2**(n/2)
 #: relabeling tables, 87 MB at n = 12 and about 1.7 GB at n = 14.
 ORBIT_MAX_N = 12
+
+#: Most workers a scan accepts: every worker past the first is a forked
+#: process, and each one gets its own list of sub-ranges.
+SCAN_MAX_WORKERS = 64
+
+#: Equal sub-ranges per worker in a multi-worker scan.  Worker w takes every
+#: workers-th sub-range from sub-range w, so each one samples the whole index
+#: range -- the costly low masks of a pruned sweep included.
+_SUBRANGES_PER_WORKER = 16
 
 #: Color pairs (A, B) of the diameter-2 search; see _diam2_cover.
 _COLOR_PAIRS = ((RED, RED), (RED, BLUE), (BLUE, BLUE))
@@ -435,33 +445,105 @@ def _examine(g: ColoredCocktail, mask: int, check: str, part: _Partial) -> None:
             part.failed["diam2"].add(mask)
 
 
-def _scan_chunk(args: tuple) -> _Partial:
-    n, mode, check, prune, seed, lo, hi = args
+def _scan_chunk(n: int, mode: str, check: str, prune: bool, seed: int | None,
+                ranges: list[tuple[int, int]]) -> _Partial:
+    """Tally the colorings of every index range [lo, hi) in ranges."""
     part = _Partial()
     if mode == "exhaustive":
         # Gray-code walk: counter i visits mask i ^ (i >> 1), flipping one
-        # edge per step, so adjacency updates are O(1).
+        # edge per step, so adjacency updates are O(1).  Each range restarts
+        # the walk from its own first mask.
         edges = edge_list(n)
-        mask = lo ^ (lo >> 1)
-        base = from_red_mask(n, mask)
-        red, blue = list(base.red), list(base.blue)
-        for i in range(lo, hi):
-            if not prune or is_canonical(n, mask):
-                g = ColoredCocktail(n, red, blue, validate=False)
-                _examine(g, mask, check, part)
-            nxt = i + 1
-            if nxt < hi:  # edge k changes color: flip its bit in both tables
-                k = (nxt & -nxt).bit_length() - 1
-                u, v = edges[k]
-                ub, vb = 1 << u, 1 << v
-                red[u] ^= vb; red[v] ^= ub
-                blue[u] ^= vb; blue[v] ^= ub
-                mask ^= 1 << k
+        for lo, hi in ranges:
+            mask = lo ^ (lo >> 1)
+            base = from_red_mask(n, mask)
+            red, blue = list(base.red), list(base.blue)
+            for i in range(lo, hi):
+                if not prune or is_canonical(n, mask):
+                    g = ColoredCocktail(n, red, blue, validate=False)
+                    _examine(g, mask, check, part)
+                nxt = i + 1
+                if nxt < hi:  # edge k changes color: flip its bit in both tables
+                    k = (nxt & -nxt).bit_length() - 1
+                    u, v = edges[k]
+                    ub, vb = 1 << u, 1 << v
+                    red[u] ^= vb; red[v] ^= ub
+                    blue[u] ^= vb; blue[v] ^= ub
+                    mask ^= 1 << k
     else:
-        for i in range(lo, hi):
-            mask = random_red_mask(n, seed + SEED_STRIDE * i)
-            _examine(from_red_mask(n, mask), mask, check, part)
+        for lo, hi in ranges:
+            for i in range(lo, hi):
+                mask = random_red_mask(n, seed + SEED_STRIDE * i)
+                _examine(from_red_mask(n, mask), mask, check, part)
     return part
+
+
+def _split(total: int, workers: int) -> list[list[tuple[int, int]]]:
+    """Each worker's non-empty sub-ranges of [0, total), strided.
+
+    [0, total) is cut into workers * _SUBRANGES_PER_WORKER near-equal
+    sub-ranges; worker w holds sub-ranges w, w + workers, w + 2*workers, ...
+    A worker may hold none when total is small.
+    """
+    k = workers * _SUBRANGES_PER_WORKER
+    subs = [(total * j // k, total * (j + 1) // k) for j in range(k)]
+    return [[(lo, hi) for lo, hi in subs[w::workers] if lo < hi]
+            for w in range(workers)]
+
+
+def _scan_job(conn, args: tuple, ranges: list[tuple[int, int]]) -> None:
+    """Worker process: send the tally of ranges, or the exception it raised."""
+    try:
+        result = _scan_chunk(*args, ranges)
+    except Exception as exc:
+        # the caller re-raises it; an exception that cannot make the trip
+        # (its __init__ takes other arguments) goes as type name and message
+        try:
+            result = pickle.loads(pickle.dumps(exc))
+        except Exception:
+            result = RuntimeError(f"{type(exc).__name__}: {exc}")
+    with conn:
+        conn.send(result)
+
+
+def _scan_jobs(args: tuple, jobs: list[list[tuple[int, int]]]) -> _Partial:
+    """Scan jobs[0] in this process and every later job in a child process.
+
+    Each child sends its _Partial (or its exception) through a one-way pipe.
+    The caller receives a child's tally before joining it -- joining first
+    can deadlock on a tally larger than the pipe buffer -- and on any way
+    out terminates and joins every child still running.
+    """
+    ctx = multiprocessing.get_context("fork")
+    children = []
+    try:
+        for ranges in jobs[1:]:
+            recv, send = ctx.Pipe(duplex=False)
+            with send:  # the child holds its own copy of the sending end
+                proc = ctx.Process(target=_scan_job, args=(send, args, ranges))
+                children.append((proc, recv))
+                proc.start()
+        merged = _scan_chunk(*args, jobs[0])
+        for job, (proc, recv) in enumerate(children, 1):
+            try:
+                result = recv.recv()
+            except EOFError:
+                proc.join()
+                raise RuntimeError(
+                    f"scan worker {job} exited with code {proc.exitcode} "
+                    f"before sending its tally") from None
+            proc.join()
+            if isinstance(result, BaseException):
+                raise result
+            merged.merge(result)
+        return merged
+    finally:
+        for proc, recv in children:
+            recv.close()
+            if proc.is_alive():
+                proc.terminate()
+            if proc.pid is not None:
+                proc.join()
 
 
 def scan(n: int, mode: str = "exhaustive", check: str = "reach",
@@ -473,9 +555,16 @@ def scan(n: int, mode: str = "exhaustive", check: str = "reach",
     mode "exhaustive" walks all 2**(n(n-2)/2) colorings (n capped by
     max_exhaustive_n); mode "random" draws ``samples`` colorings from
     ``seed`` (sample i uses seed + SEED_STRIDE*i).  prune restricts an
-    exhaustive scan to canonical orbit representatives.  workers only
-    splits the index range; every reported field is independent of the
-    split.
+    exhaustive scan to canonical orbit representatives.
+
+    workers = 1 scans the whole index range in this process.  workers > 1
+    (at most SCAN_MAX_WORKERS) cuts the range into workers * 16 equal
+    sub-ranges and deals them out round-robin, so every worker samples the
+    whole range; the caller scans the first worker's share itself while
+    one forked process per further worker scans its own and pipes back the
+    tallies.  An exception in a worker is re-raised here, and no worker
+    outlives the call.  workers only splits the index range: every
+    reported field is independent of the split.
     """
     if n % 2 or n < 2:
         raise ValueError(f"n must be even and >= 2, got {n}")
@@ -488,6 +577,9 @@ def scan(n: int, mode: str = "exhaustive", check: str = "reach",
             f"check={check!r} needs n <= {DIAM2_SEARCH_MAX_N}, got {n}")
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
+    if workers > SCAN_MAX_WORKERS:
+        raise ValueError(f"workers={workers} exceeds the scan bound "
+                         f"SCAN_MAX_WORKERS={SCAN_MAX_WORKERS}")
     if mode == "random":
         if prune:
             raise ValueError("prune only applies to exhaustive scans")
@@ -506,19 +598,11 @@ def scan(n: int, mode: str = "exhaustive", check: str = "reach",
         total = 1 << num_edges(n)
 
     start = time.monotonic()
-    chunks = [(n, mode, check, prune, seed,
-               total * w // workers, total * (w + 1) // workers)
-              for w in range(workers)]
-    chunks = [c for c in chunks if c[5] < c[6]]
-    if len(chunks) <= 1:
-        partials = [_scan_chunk(c) for c in chunks]
+    args = (n, mode, check, prune, seed)
+    if workers == 1:
+        merged = _scan_chunk(*args, [(0, total)])
     else:
-        ctx = multiprocessing.get_context("fork")
-        with ctx.Pool(processes=len(chunks)) as pool:
-            partials = pool.map(_scan_chunk, chunks)
-    merged = _Partial()
-    for p in partials:
-        merged.merge(p)
+        merged = _scan_jobs(args, [job for job in _split(total, workers) if job])
     wall = time.monotonic() - start
 
     name = canonical_red_mask if n <= CANONICAL_NAMES_MAX_N else lambda n, m: m

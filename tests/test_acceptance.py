@@ -58,7 +58,7 @@ def small_reports():
 
 @pytest.fixture(scope="module")
 def n8_report():
-    return scan(8, mode="exhaustive", check="reach")
+    return scan(8, mode="exhaustive", check="reach", workers=2)
 
 
 @pytest.fixture(scope="module")

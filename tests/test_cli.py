@@ -13,6 +13,7 @@ import pytest
 
 import partycover
 import partycover.cli as cli
+from partycover import lab
 from partycover.cover import InternalInconsistencyError
 from partycover.extremal import build_sharp_example
 from partycover.graphs import all_blue, all_red, random_coloring, serialize
@@ -149,6 +150,15 @@ def test_integer_options_are_ascii_decimal(argv, capsys):
         cli.main(argv)
     assert exc.value.code == 2
     assert "invalid" in capsys.readouterr().err
+
+
+def test_scan_workers_above_the_bound_is_usage_error(monkeypatch, capsys):
+    def no_processes(*args):
+        raise AssertionError("scan started a process")
+
+    monkeypatch.setattr(lab.multiprocessing, "get_context", no_processes)
+    assert cli.main(["scan", "--n", "6", "--workers", "100000"]) == 2
+    assert "SCAN_MAX_WORKERS=64" in capsys.readouterr().err
 
 
 def test_scan_bad_n_is_usage_error(capsys):

@@ -1,10 +1,14 @@
 """Diameter-2 cover search, symmetry machinery, coloring-space scans."""
 
+import contextlib
 import hashlib
 import itertools
 import multiprocessing
+import os
 import pathlib
 import random
+import signal
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -40,6 +44,7 @@ from partycover.lab import (
     CANONICAL_NAMES_MAX_N,
     DIAM2_SEARCH_MAX_N,
     ORBIT_MAX_N,
+    SCAN_MAX_WORKERS,
     SEED_STRIDE,
     ScanReport,
     _assignment_search,
@@ -399,6 +404,10 @@ def test_scan_n6_matches_fixture():
      "scan_n10_random_both.txt"),
     (dict(n=10, mode="random", check="both", samples=300, seed=2, workers=2),
      "scan_n10_random_both.txt"),
+    (dict(n=6, check="both", prune=True, workers=2), "scan_n6_both_pruned.txt"),
+    (dict(n=6, check="both", prune=True, workers=3), "scan_n6_both_pruned.txt"),
+    (dict(n=10, mode="random", check="both", samples=300, seed=2, workers=3),
+     "scan_n10_random_both.txt"),
 ])
 def test_scan_report_goldens(kwargs, fixture):
     assert scan(**kwargs).machine_text() == (FIXTURES / fixture).read_text()
@@ -506,6 +515,161 @@ def test_scan_both_searches_on_after_an_assertion_failure(monkeypatch):
 def test_scan_workers_do_not_change_the_report():
     texts = {scan(6, workers=w).machine_text() for w in (1, 2, 3)}
     assert len(texts) == 1
+    assert multiprocessing.active_children() == []
+
+
+def _refuse_processes(monkeypatch):
+    def no_processes(*args):
+        raise AssertionError("scan built a split or started a process")
+
+    monkeypatch.setattr(lab.multiprocessing, "get_context", no_processes)
+    monkeypatch.setattr(lab, "_split", no_processes)
+
+
+def test_scan_refuses_workers_above_the_bound(monkeypatch):
+    _refuse_processes(monkeypatch)
+    assert SCAN_MAX_WORKERS == 64
+    for workers in (SCAN_MAX_WORKERS + 1, 3_000_000):
+        with pytest.raises(ValueError, match=(
+                f"workers={workers} exceeds the scan bound "
+                f"SCAN_MAX_WORKERS={SCAN_MAX_WORKERS}")):
+            scan(6, workers=workers)
+
+
+def test_scan_at_the_workers_bound_runs_in_process():
+    # n = 2 has one coloring, so only one of the 64 workers has work
+    report = scan(2, workers=SCAN_MAX_WORKERS)
+    assert report.machine_text() == scan(2).machine_text()
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("total,workers", [
+    (5, 2), (31, 2), (32, 2), (33, 2), (4096, 2), (1000, 3), (48, 3),
+    (1, 2), (3, 8), (63, 64), (1 << 24, SCAN_MAX_WORKERS)])
+def test_scan_split_deals_strided_sub_ranges(total, workers):
+    jobs = lab._split(total, workers)
+    assert len(jobs) == workers
+    pieces = sorted(r for job in jobs for r in job)
+    # the sub-ranges cover [0, total) exactly once, none empty
+    assert pieces[0][0] == 0 and pieces[-1][1] == total
+    assert all(a[1] == b[0] for a, b in zip(pieces, pieces[1:]))
+    assert all(lo < hi for lo, hi in pieces)
+    # they are the non-empty ones of k equal sub-ranges ...
+    k = workers * lab._SUBRANGES_PER_WORKER
+    assert len(pieces) == min(k, total)
+    assert {hi - lo for lo, hi in pieces} <= {total // k, total // k + 1}
+    # ... and job w holds sub-ranges w, w + workers, w + 2 * workers, ...
+    owner = {(total * j // k, total * (j + 1) // k): j % workers
+             for j in range(k)}
+    assert all(owner[r] == w for w, job in enumerate(jobs) for r in job)
+    assert all(job == sorted(job) for job in jobs)
+
+
+@contextlib.contextmanager
+def _returns_within(seconds):
+    def stalled(signum, frame):
+        # not an OSError: Popen.poll would swallow one raised in waitpid
+        pytest.fail(f"scan did not return within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, stalled)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def _first_mask_of_job(n, workers, job):
+    lo = lab._split(1 << num_edges(n), workers)[job][0][0]
+    return lo ^ (lo >> 1)
+
+
+def _examine_failing_at(monkeypatch, bad, fail):
+    real = lab._examine
+
+    def examine(g, mask, check, part):
+        if mask == bad:
+            fail(g, mask)
+        real(g, mask, check, part)
+
+    monkeypatch.setattr(lab, "_examine", examine)
+
+
+@pytest.mark.parametrize("job", [0, 1])
+def test_scan_worker_exception_reaches_the_caller(monkeypatch, job):
+    bad = _first_mask_of_job(6, 2, job)
+
+    def fail(g, mask):
+        raise LookupError(f"injected at mask {mask}")
+
+    _examine_failing_at(monkeypatch, bad, fail)
+    with pytest.raises(LookupError, match=f"^injected at mask {bad}$") as exc:
+        scan(6, workers=2)
+    assert type(exc.value) is LookupError
+    assert multiprocessing.active_children() == []
+
+
+def test_scan_worker_exception_that_cannot_be_unpickled(monkeypatch):
+    # InternalInconsistencyError's __init__ takes the graph, so the worker
+    # sends its type name and message instead
+    def fail(g, mask):
+        raise InternalInconsistencyError("injected", g)
+
+    _examine_failing_at(monkeypatch, _first_mask_of_job(6, 2, 1), fail)
+    with pytest.raises(RuntimeError,
+                       match=r"^InternalInconsistencyError: injected \[coloring 6:"):
+        scan(6, workers=2)
+    assert multiprocessing.active_children() == []
+
+
+def test_scan_worker_that_dies_is_reported_with_its_exit_code(monkeypatch):
+    _examine_failing_at(monkeypatch, _first_mask_of_job(6, 3, 2),
+                        lambda g, mask: os._exit(3))
+    with pytest.raises(RuntimeError,
+                       match="scan worker 2 exited with code 3 before sending"):
+        with _returns_within(30):
+            scan(6, workers=3)
+    assert multiprocessing.active_children() == []
+
+
+def test_scan_receives_a_large_tally_before_joining(monkeypatch):
+    # the worker's tally is far larger than a pipe buffer, so it blocks in
+    # send until the caller reads: joining it first would never return
+    caller = os.getpid()
+    extra = range(1 << 40, (1 << 40) + 20_000)
+    real = lab._examine
+
+    def examine(g, mask, check, part):
+        real(g, mask, check, part)
+        if os.getpid() != caller:
+            part.failed["reach"].update(extra)
+
+    monkeypatch.setattr(lab, "_examine", examine)
+    with _returns_within(30):
+        report = scan(12, "random", "reach", samples=64, seed=1, workers=2)
+    assert report.reach_failures == tuple(mask_to_compact(12, m) for m in extra)
+    assert multiprocessing.active_children() == []
+
+
+def test_scan_caller_failure_terminates_the_workers(monkeypatch):
+    stall = _first_mask_of_job(6, 2, 1)
+    bad = _first_mask_of_job(6, 2, 0)
+    real = lab._examine
+
+    def examine(g, mask, check, part):
+        if mask == stall:
+            time.sleep(60)
+        if mask == bad:
+            raise LookupError("injected in the caller's own share")
+        real(g, mask, check, part)
+
+    monkeypatch.setattr(lab, "_examine", examine)
+    # the stalled worker is terminated, not waited for
+    with pytest.raises(LookupError, match="caller's own share"):
+        with _returns_within(30):
+            scan(6, workers=2)
+    assert multiprocessing.active_children() == []
 
 
 def test_scan_random_is_reproducible():
