@@ -67,6 +67,10 @@ class InternalInconsistencyError(RuntimeError):
         self.graph_compact = to_compact(g)
         super().__init__(f"{message} [coloring {self.graph_compact}]")
 
+    def __reduce__(self):
+        # args hold only the formatted message: skip __init__, restore the state
+        return type(self).__new__, (type(self), *self.args), self.__dict__
+
 
 @dataclass(frozen=True)
 class WholeVertexSet:

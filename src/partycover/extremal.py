@@ -198,8 +198,6 @@ def build_sharp_example(n: int) -> ColoredCocktail:
     them, and in blue every partner pair has no common neighbor, so both
     colors peak at n/2.
     """
-    if n % 2 or n < 2:
-        raise ValueError(f"n must be even and >= 2, got {n}")
     red_pairs = [
         (u, v)
         for u in range(n) for v in range(u + 1, n)

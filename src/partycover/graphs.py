@@ -10,6 +10,9 @@ Adjacency is stored as one integer bitmask per vertex and color, which is
 the working currency of the whole package: vertex sets are plain Python
 ints with bit v standing for vertex v.
 
+The order rule, n even and >= 2, lives in num_edges, which every builder
+reaches; parse and from_compact restate it to raise GraphFormatError.
+
 Text format (one graph per file or string):
 
     line 1:             n
@@ -59,15 +62,19 @@ def flip(color: int) -> int:
 
 def partner(v: int, n: int) -> int:
     """The unique vertex non-adjacent to v (pairing v <-> v XOR 1)."""
-    if n < 2 or n % 2:
-        raise ValueError(f"n must be even and >= 2, got {n}")
+    num_edges(n)  # refuses a bad n
     if not 0 <= v < n:
         raise ValueError(f"vertex {v} out of range for n={n}")
     return v ^ 1
 
 
 def num_edges(n: int) -> int:
-    """Number of edges of the cocktail party graph: n(n-2)/2."""
+    """Number of edges of the cocktail party graph: n(n-2)/2.
+
+    The one home of the order rule: ValueError unless n is even and >= 2.
+    """
+    if n < 2 or n % 2:
+        raise ValueError(f"n must be even and >= 2, got {n}")
     return n * (n - 2) // 2
 
 
@@ -78,17 +85,10 @@ EDGE_CACHE_SIZE = 16
 @lru_cache(maxsize=EDGE_CACHE_SIZE)
 def edge_list(n: int) -> tuple[tuple[int, int], ...]:
     """All non-partner pairs (u, v), u < v, in the fixed lexicographic order."""
-    if n < 2 or n % 2:
-        raise ValueError(f"n must be even and >= 2, got {n}")
+    num_edges(n)  # refuses a bad n
     return tuple(
         (u, v) for u in range(n) for v in range(u + 1, n) if v != (u ^ 1)
     )
-
-
-@lru_cache(maxsize=EDGE_CACHE_SIZE)
-def edge_index(n: int) -> dict[tuple[int, int], int]:
-    """Inverse of edge_list: normalized pair -> position in the edge ordering."""
-    return {e: k for k, e in enumerate(edge_list(n))}
 
 
 def vertex_mask(vertices: Iterable[int]) -> int:
@@ -142,32 +142,24 @@ class ColoredCocktail:
 
     def _validate(self) -> None:
         n = self.n
-        if n < 2 or n % 2:
-            raise ValueError(f"n must be even and >= 2, got {n}")
+        num_edges(n)  # refuses a bad n before sizing anything by it
         if len(self.red) != n or len(self.blue) != n:
             raise ValueError("adjacency tables must have one mask per vertex")
-        full = (1 << n) - 1
-        for v in range(n):
-            r, b = self.red[v], self.blue[v]
-            if (r | b) & ~full:
-                raise ValueError(f"vertex {v}: neighbor bits out of range")
-            if (r | b) >> v & 1:
-                raise ValueError(f"vertex {v}: loop")
+        others = _red_mask_plan(n)[3]
+        for v, (r, b, other) in enumerate(zip(self.red, self.blue, others)):
+            # other holds no loop bit, no partner bit and no bit >= n
             if r & b:
                 raise ValueError(f"vertex {v}: edge in both colors")
-            expected = full & ~(1 << v) & ~(1 << (v ^ 1))
-            if (r | b) != expected:
+            if r | b != other:
                 raise ValueError(
                     f"vertex {v}: colors must partition all non-partner pairs")
-        for u in range(n):
-            for adj in (self.red, self.blue):
-                m = adj[u]
-                while m:
-                    low = m & -m
-                    v = low.bit_length() - 1
-                    if not (adj[v] >> u) & 1:
-                        raise ValueError(f"asymmetric edge ({u}, {v})")
-                    m ^= low
+        # red_mask reads only the upper triangle, so red is symmetric iff it
+        # round-trips; blue, its complement in the symmetric others, follows
+        rebuilt = from_red_mask(n, self.red_mask()).red
+        for u, (row, want) in enumerate(zip(self.red, rebuilt)):
+            if row != want:
+                v = ((row ^ want) & -(row ^ want)).bit_length() - 1
+                raise ValueError(f"asymmetric edge ({v}, {u})")
 
     def adj(self, color: int) -> tuple[int, ...]:
         """Neighbor masks for one color."""
@@ -216,7 +208,7 @@ class ColoredCocktail:
 @lru_cache(maxsize=EDGE_CACHE_SIZE)
 def _red_mask_plan(n: int) -> tuple[tuple[tuple[int, int, int], ...],
                                     tuple[tuple[int, int], ...],
-                                    tuple[int, ...], tuple[int, ...]]:
+                                    tuple[int, ...], tuple[int, ...], int]:
     """The tables from_red_mask uses at n, for one W x W bit matrix held in
     one int, row r at bit r * W (W the next power of two >= n):
 
@@ -228,8 +220,10 @@ def _red_mask_plan(n: int) -> tuple[tuple[tuple[int, int, int], ...],
       r & j == 0 and c & j != 0 moves to (r + j, c - j), j * (W - 1)
       higher, and back;
     - rows: the bit offset of each row;
-    - others: each vertex's non-partner mask.
+    - others: each vertex's non-partner mask;
+    - limit: 2**num_edges(n), one past the largest red mask.
     """
+    limit = 1 << num_edges(n)
     width = 1 << (n - 1).bit_length()
     runs = []
     for u in range(n - 2):
@@ -245,7 +239,7 @@ def _red_mask_plan(n: int) -> tuple[tuple[tuple[int, int, int], ...],
         j >>= 1
     full = (1 << n) - 1
     return (tuple(runs), tuple(steps), tuple(u * width for u in range(n)),
-            tuple(full ^ (3 << (u & ~1)) for u in range(n)))
+            tuple(full ^ (3 << (u & ~1)) for u in range(n)), limit)
 
 
 def from_red_mask(n: int, mask: int) -> ColoredCocktail:
@@ -258,9 +252,9 @@ def from_red_mask(n: int, mask: int) -> ColoredCocktail:
     transpose, made by log2(W) block swaps of shift/xor/and steps on the
     whole matrix at once (Warren, *Hacker's Delight*, section 7-3).
     """
-    if not 0 <= mask < (1 << num_edges(n)):
+    runs, steps, rows, others, limit = _red_mask_plan(n)
+    if not 0 <= mask < limit:
         raise ValueError(f"red mask {mask:#x} out of range for n={n}")
-    runs, steps, rows, others = _red_mask_plan(n)
     upper = 0
     for keep, at, length in runs:
         upper |= (mask & keep) << at
@@ -279,8 +273,8 @@ def from_red_mask(n: int, mask: int) -> ColoredCocktail:
 
 def from_red_set(n: int, red_pairs: Iterable[tuple[int, int]]) -> ColoredCocktail:
     """Build a coloring by listing the red edges; everything else is blue."""
-    idx = edge_index(n)
-    mask = 0
+    others = _red_mask_plan(n)[3]
+    red = [0] * n
     for u, v in red_pairs:
         if u > v:
             u, v = v, u
@@ -288,11 +282,12 @@ def from_red_set(n: int, red_pairs: Iterable[tuple[int, int]]) -> ColoredCocktai
             raise ValueError(f"invalid pair ({u}, {v}) for n={n}")
         if v == (u ^ 1):
             raise ValueError(f"partner pair ({u}, {v}) is not an edge")
-        k = idx[(u, v)]
-        if (mask >> k) & 1:
+        if (red[u] >> v) & 1:
             raise ValueError(f"duplicate pair ({u}, {v})")
-        mask |= 1 << k
-    return from_red_mask(n, mask)
+        red[u] |= 1 << v
+        red[v] |= 1 << u
+    blue = [o ^ r for o, r in zip(others, red)]
+    return ColoredCocktail(n, red, blue, validate=False)
 
 
 def all_red(n: int) -> ColoredCocktail:
@@ -311,13 +306,12 @@ def enumerate_colorings(n: int, max_n: int = ENUMERATION_MAX_N) -> Iterator[Colo
     Order: the red-edge bitmask runs as a counter 0, 1, 2, ... over the
     fixed edge ordering; 2**(n(n-2)/2) colorings in total.
     """
-    if n % 2 or n < 2:
-        raise ValueError(f"n must be even and >= 2, got {n}")
+    m = num_edges(n)
     if n > max_n:
         raise ValueError(
             f"n={n} exceeds the enumeration bound {max_n} "
-            f"(2**{num_edges(n)} colorings); pass max_n to override")
-    for mask in range(1 << num_edges(n)):
+            f"(2**{m} colorings); pass max_n to override")
+    for mask in range(1 << m):
         yield from_red_mask(n, mask)
 
 
@@ -329,8 +323,6 @@ def random_coloring(n: int, seed: int) -> ColoredCocktail:
     the red-edge bitmask is one ``getrandbits(m)`` draw, so equal seeds
     give bit-identical colorings on any platform.
     """
-    if n % 2 or n < 2:
-        raise ValueError(f"n must be even and >= 2, got {n}")
     return from_red_mask(n, random_red_mask(n, seed))
 
 
@@ -355,7 +347,8 @@ def to_compact(g: ColoredCocktail) -> str:
 
 def mask_to_compact(n: int, mask: int) -> str:
     """Compact form of a red-edge bitmask without building the graph."""
-    return f"{n}:{_mask_to_hex(mask, num_edges(n))}"
+    digits = (num_edges(n) + 3) // 4
+    return f"{n}:" + "".join([format(mask >> 4 * i & 15, "x") for i in range(digits)])
 
 
 def from_compact(text: str) -> ColoredCocktail:
@@ -375,24 +368,13 @@ def from_compact(text: str) -> ColoredCocktail:
     if len(hexpart) != ndigits:
         raise GraphFormatError(
             f"expected {ndigits} hex digits for n={n}, got {len(hexpart)}")
-    mask = _hex_to_mask(hexpart)
-    if mask >> m:
-        raise GraphFormatError("red mask has bits beyond the edge count")
-    return from_red_mask(n, mask)
-
-
-def _mask_to_hex(mask: int, m: int) -> str:
-    digits = []
-    for i in range((m + 3) // 4):
-        digits.append(format((mask >> (4 * i)) & 0xF, "x"))
-    return "".join(digits)
-
-
-def _hex_to_mask(hexpart: str) -> int:
     for ch in hexpart:
         if ch not in "0123456789abcdef":
             raise GraphFormatError(f"bad hex digit {ch!r}")
-    return int(hexpart[::-1], 16) if hexpart else 0
+    mask = int(hexpart[::-1], 16) if hexpart else 0
+    if mask >> m:
+        raise GraphFormatError("red mask has bits beyond the edge count")
+    return from_red_mask(n, mask)
 
 
 def parse(text: str) -> ColoredCocktail:
@@ -464,5 +446,4 @@ def parse(text: str) -> ColoredCocktail:
             for v in range(u + 1, n):
                 if v != (u ^ 1) and (u, v) not in seen:
                     raise GraphFormatError(f"pair ({u}, {v}) missing")
-    mask = sum(1 << k for k, e in enumerate(edge_list(n)) if seen[e] == RED)
-    return from_red_mask(n, mask)
+    return from_red_set(n, [e for e, c in seen.items() if c == RED])

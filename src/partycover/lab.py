@@ -179,8 +179,7 @@ def _assignment_search(g: ColoredCocktail, ca: int,
 
 def symmetry_group_order(n: int) -> int:
     """(n/2)! * 2**(n/2) relabelings, doubled by the color swap."""
-    if n % 2 or n < 2:
-        raise ValueError(f"n must be even and >= 2, got {n}")
+    num_edges(n)  # refuses a bad n
     half = n // 2
     return factorial(half) * (1 << half) * 2
 
@@ -231,7 +230,7 @@ def _relabeled_masks(n: int, mask: int) -> Iterator[int]:
     tables = _edge_perm_tables(n)
     # digit i's entries start at base = 16*i; its bits start at 4*i = base >> 2
     digits = [base + (mask >> (base >> 2) & 15)
-              for base in range(0, 4 * num_edges(n), 16)]
+              for base in range(0, len(tables[0]), 16)]
     if len(digits) > 1:
         return map(sum, map(itemgetter(*digits), tables))
     if digits:  # n = 4: a one-index itemgetter returns the entry, not a tuple
@@ -284,13 +283,12 @@ def symmetry_classes(n: int, max_n: int = 6) -> list[int]:
 
     Enumerates all 2**(n(n-2)/2) masks, so by default refuses n > 6.
     """
-    if n % 2 or n < 2:
-        raise ValueError(f"n must be even and >= 2, got {n}")
+    m = num_edges(n)
     if n > max_n:
         raise ValueError(
             f"n={n} exceeds the class enumeration bound {max_n}; "
             f"pass max_n to override")
-    return [m for m in range(1 << num_edges(n)) if is_canonical(n, m)]
+    return [mask for mask in range(1 << m) if is_canonical(n, mask)]
 
 
 def symmetry_reduce(g: ColoredCocktail) -> str:
@@ -566,8 +564,7 @@ def scan(n: int, mode: str = "exhaustive", check: str = "reach",
     outlives the call.  workers only splits the index range: every
     reported field is independent of the split.
     """
-    if n % 2 or n < 2:
-        raise ValueError(f"n must be even and >= 2, got {n}")
+    edges = num_edges(n)
     if mode not in _MODES:
         raise ValueError(f"mode must be one of {_MODES}, got {mode!r}")
     if check not in _CHECKS:
@@ -594,8 +591,8 @@ def scan(n: int, mode: str = "exhaustive", check: str = "reach",
         if n > max_exhaustive_n:
             raise ValueError(
                 f"n={n} exceeds the exhaustive bound {max_exhaustive_n} "
-                f"(2**{num_edges(n)} colorings)")
-        total = 1 << num_edges(n)
+                f"(2**{edges} colorings)")
+        total = 1 << edges
 
     start = time.monotonic()
     args = (n, mode, check, prune, seed)

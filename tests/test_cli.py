@@ -62,6 +62,15 @@ def test_gen_compact_forms(capsys):
     assert capsys.readouterr().out == "4:9\n"
 
 
+@pytest.mark.parametrize("argv", [["--all-red", "5", "--compact"],
+                                  ["--all-red", "1"]])
+def test_gen_bad_order_is_usage_error(argv, capsys):
+    assert cli.main(["gen", *argv]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: n must be even and >= 2, got {argv[1]}\n"
+
+
 def test_gen_random_matches_library(capsys):
     assert cli.main(["gen", "--random", "6", "3"]) == 0
     assert capsys.readouterr().out == serialize(random_coloring(6, 3))

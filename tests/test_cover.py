@@ -2,6 +2,7 @@
 
 import dataclasses
 import io
+import pickle
 import random
 
 import pytest
@@ -332,6 +333,14 @@ def test_internal_inconsistency_error_carries_coloring():
     err = InternalInconsistencyError("boom", g)
     assert err.graph_compact == "4:9"
     assert "4:9" in str(err) and "boom" in str(err)
+
+
+def test_internal_inconsistency_error_survives_pickling():
+    err = InternalInconsistencyError("boom", build_sharp_example(4))
+    copy = pickle.loads(pickle.dumps(err))
+    assert type(copy) is InternalInconsistencyError
+    assert str(copy) == str(err) == "boom [coloring 4:9]"
+    assert copy.graph_compact == "4:9"
 
 
 # --- check_cover reason codes

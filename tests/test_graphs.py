@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import colorings
 from partycover.cover import parse_cover
+from partycover.extremal import build_sharp_example
 from partycover.graphs import (
     BLUE,
     EDGE_CACHE_SIZE,
@@ -16,7 +17,6 @@ from partycover.graphs import (
     GraphFormatError,
     all_blue,
     all_red,
-    edge_index,
     edge_list,
     enumerate_colorings,
     flip,
@@ -28,12 +28,14 @@ from partycover.graphs import (
     parse,
     partner,
     random_coloring,
+    random_red_mask,
     serialize,
     to_compact,
     vertex_list,
     vertex_mask,
     _red_mask_plan,
 )
+from partycover.lab import scan, symmetry_classes, symmetry_group_order
 
 
 def test_partner_convention():
@@ -137,6 +139,95 @@ def test_validation_rejects_broken_tables():
     missing[2] &= ~1
     with pytest.raises(ValueError, match="partition"):
         ColoredCocktail(4, missing, g.blue)
+
+
+def _tables_are_valid(n, red, blue):
+    """Pairwise reference for the table invariants ColoredCocktail checks."""
+    for u in range(n):
+        if red[u] >> n or blue[u] >> n:  # a neighbor at or above n
+            return False
+        for v in range(n):
+            r, b = red[u] >> v & 1, blue[u] >> v & 1
+            if r != red[v] >> u & 1 or b != blue[v] >> u & 1:
+                return False  # asymmetric in one color
+            if v in (u, u ^ 1):
+                if r or b:  # a loop, or a colored partner pair
+                    return False
+            elif r + b != 1:  # uncolored, or in both colors
+                return False
+    return True
+
+
+@st.composite
+def flipped_tables(draw, n):
+    """The tables of a random coloring of order n after 1-3 flips.
+
+    A flip picks red, blue or both, a row u and a column v < n + 2 (v == u
+    is a loop bit, v >= n is out of range) and flips bit v of row u, and
+    maybe bit u of row v.  One side in both colors recolors half an edge:
+    asymmetric, yet every row still partitions.  Both sides in both colors
+    recolor the edge, which keeps the tables valid.
+    """
+    g = from_red_mask(n, draw(st.integers(0, (1 << num_edges(n)) - 1)))
+    tables = [list(g.red), list(g.blue)]
+    for _ in range(draw(st.integers(1, 3))):
+        colors = draw(st.sampled_from(((0,), (1,), (0, 1))))
+        u, v = draw(st.integers(0, n - 1)), draw(st.integers(0, n + 1))
+        mirror = v < n and v != u and draw(st.booleans())
+        for c in colors:
+            tables[c][u] ^= 1 << v
+            if mirror:
+                tables[c][v] ^= 1 << u
+    return tables
+
+
+def _assert_validator_matches_reference(n, red, blue):
+    if _tables_are_valid(n, red, blue):
+        ColoredCocktail(n, red, blue)
+    else:
+        with pytest.raises(ValueError):
+            ColoredCocktail(n, red, blue)
+
+
+@settings(max_examples=300)
+@given(st.integers(1, 8).flatmap(
+    lambda half: st.tuples(st.just(2 * half), flipped_tables(2 * half))))
+def test_validation_matches_a_pairwise_reference(case):
+    n, (red, blue) = case
+    _assert_validator_matches_reference(n, red, blue)
+
+
+@settings(max_examples=20)
+@given(flipped_tables(64))
+def test_validation_matches_a_pairwise_reference_at_64(tables):
+    _assert_validator_matches_reference(64, *tables)
+
+
+_ORDER_CHECKED = {
+    "num_edges": num_edges,
+    "from_red_mask": lambda n: from_red_mask(n, 0),
+    "from_red_set": lambda n: from_red_set(n, []),
+    "all_red": all_red,
+    "all_blue": all_blue,
+    "random_coloring": lambda n: random_coloring(n, 1),
+    "random_red_mask": lambda n: random_red_mask(n, 1),
+    "mask_to_compact": lambda n: mask_to_compact(n, 0),
+    "enumerate_colorings": lambda n: next(enumerate_colorings(n)),
+    "build_sharp_example": build_sharp_example,
+    "edge_list": edge_list,
+    "partner": lambda n: partner(0, n),
+    "symmetry_group_order": symmetry_group_order,
+    "symmetry_classes": symmetry_classes,
+    "scan": scan,
+    "ColoredCocktail": lambda n: ColoredCocktail(n, [], []),
+}
+
+
+@pytest.mark.parametrize("n", [-2, 0, 1, 3, 5])
+@pytest.mark.parametrize("name", list(_ORDER_CHECKED))
+def test_every_builder_refuses_a_bad_order(name, n):
+    with pytest.raises(ValueError, match=f"^n must be even and >= 2, got {n}$"):
+        _ORDER_CHECKED[name](n)
 
 
 def test_enumerate_counts():
@@ -253,23 +344,20 @@ def test_text_parsers_accept_only_ascii_digits(parser, text, frag):
 
 def test_parse_bare_header_builds_no_edge_table():
     edge_list.cache_clear()
-    edge_index.cache_clear()
     with pytest.raises(GraphFormatError, match=r"pair \(0, 2\) missing"):
         parse("2000\n")
     with pytest.raises(GraphFormatError, match=r"pair \(0, 3\) missing"):
         parse("2000\n0 2 1\n")
     assert edge_list.cache_info().currsize == 0
-    assert edge_index.cache_info().currsize == 0
 
 
 def test_edge_table_caches_are_bounded():
-    for cached in (edge_list, edge_index, _red_mask_plan):
+    for cached in (edge_list, _red_mask_plan):
         bound = cached.cache_info().maxsize
         assert bound == EDGE_CACHE_SIZE
         for n in range(2, 2 * bound + 6, 2):
             cached(n)
         assert cached.cache_info().currsize == bound
-    assert edge_index(4) == {(0, 2): 0, (0, 3): 1, (1, 2): 2, (1, 3): 3}
 
 
 @st.composite

@@ -610,16 +610,38 @@ def test_scan_worker_exception_reaches_the_caller(monkeypatch, job):
     assert multiprocessing.active_children() == []
 
 
-def test_scan_worker_exception_that_cannot_be_unpickled(monkeypatch):
-    # InternalInconsistencyError's __init__ takes the graph, so the worker
-    # sends its type name and message instead
+def test_scan_worker_internal_inconsistency_reaches_the_caller(monkeypatch):
+    bad = _first_mask_of_job(6, 2, 1)
+
     def fail(g, mask):
         raise InternalInconsistencyError("injected", g)
 
-    _examine_failing_at(monkeypatch, _first_mask_of_job(6, 2, 1), fail)
-    with pytest.raises(RuntimeError,
-                       match=r"^InternalInconsistencyError: injected \[coloring 6:"):
+    _examine_failing_at(monkeypatch, bad, fail)
+    with pytest.raises(InternalInconsistencyError,
+                       match=r"^injected \[coloring 6:") as exc:
         scan(6, workers=2)
+    assert type(exc.value) is InternalInconsistencyError
+    assert exc.value.graph_compact == mask_to_compact(6, bad)
+    assert multiprocessing.active_children() == []
+
+
+class _TwoArgumentError(Exception):
+    def __init__(self, message, mask):
+        super().__init__(f"{message} at mask {mask}")
+
+
+def test_scan_worker_exception_that_cannot_be_unpickled(monkeypatch):
+    # the exception's __init__ takes two arguments but its args hold one,
+    # so the worker sends its type name and message instead
+    def fail(g, mask):
+        raise _TwoArgumentError("injected", mask)
+
+    bad = _first_mask_of_job(6, 2, 1)
+    _examine_failing_at(monkeypatch, bad, fail)
+    with pytest.raises(RuntimeError,
+                       match=f"^_TwoArgumentError: injected at mask {bad}$") as exc:
+        scan(6, workers=2)
+    assert type(exc.value) is RuntimeError
     assert multiprocessing.active_children() == []
 
 
