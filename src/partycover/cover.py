@@ -6,7 +6,7 @@ color, and the construction emits a certificate naming which structural
 branch produced it: its census ``key``, a ``describe()`` line and a
 ``check`` that re-derives the cover.  ``check_cover``/``verify_cover``
 re-validate a cover from scratch, sharing with the solver only the
-reachability primitives and the mask of critical-edge ends.
+reachability primitives, the far rows (``reach.far_rows``) among them.
 
 Branches, tried in order:
 
@@ -30,6 +30,8 @@ coloring instead of failing silently.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from operator import or_
 from typing import Union, get_args
 
 from .graphs import (
@@ -47,8 +49,8 @@ from .graphs import (
 )
 from .reach import (
     CriticalPair,
-    critical_pairs,
     dist_le2,
+    far_rows,
     is_2reachable_set,
     is_diam2_subset,
     mono_diam_le2,
@@ -211,13 +213,16 @@ class CriticalComplement:
                 f"({vertex_text(self.q)}) for B")
 
     def check(self, g: ColoredCocktail, cover: Cover) -> bool:
-        """Relies on check_cover's set checks for the cover's shape."""
+        """Relies on check_cover's set checks for the cover's shape.
+
+        p and q must be the unions of each color's far rows: with no far
+        partner pair (branch 2), the ends of the critical edges."""
         full = (1 << g.n) - 1
         return (not self.p & self.q
                 and cover.a == full & ~self.p and cover.b == full & ~self.q
                 and cover.color_a == RED and cover.color_b == BLUE
-                and self.p == _edge_ends(critical_pairs(g, RED))
-                and self.q == _edge_ends(critical_pairs(g, BLUE)))
+                and self.p == reduce(or_, far_rows(g, RED))
+                and self.q == reduce(or_, far_rows(g, BLUE)))
 
 
 Certificate = Union[WholeVertexSet, TwoStars, LemmaStars, LemmaC5Plus,
@@ -280,22 +285,29 @@ def solve(g: ColoredCocktail) -> Cover:
                 return Cover(n, star(g, sc, u), sc, star(g, sc, u + 1), sc,
                              TwoStars(sc, u, u + 1))
 
-    # Branch 2 returned on every critical partner pair: all these are edges.
-    red_crit, blue_crit = critical_pairs(g, RED), critical_pairs(g, BLUE)
-    p, q = _edge_ends(red_crit), _edge_ends(blue_crit)
+    # Branch 2 returned on every critical partner pair: the far rows hold
+    # critical edges only, and their union is the mask of those edges' ends.
+    red_far, blue_far = far_rows(g, RED), far_rows(g, BLUE)
+    p, q = reduce(or_, red_far), reduce(or_, blue_far)
     if p & q:
         # the lexicographically first red-critical edge meeting a
         # blue-critical one, and the first blue-critical edge through it
-        e = next(e for e in red_crit if ((1 << e.u) | (1 << e.v)) & q)
-        f = next(f for f in blue_crit
-                 if e.u in (f.u, f.v) or e.v in (f.u, f.v))
-        return _shared_vertex_cover(g, e, f)
+        u, v = _first_far_edge(red_far, q)
+        return _shared_vertex_cover(
+            g, (u, v), _first_far_edge(blue_far, (1 << u) | (1 << v)))
     return Cover(n, full & ~p, RED, full & ~q, BLUE, CriticalComplement(p, q))
 
 
-def _edge_ends(pairs: list[CriticalPair]) -> int:
-    """Mask of the ends of the critical edges among the pairs."""
-    return vertex_mask(v for cp in pairs if cp.is_edge for v in (cp.u, cp.v))
+def _first_far_edge(rows: list[int], meets: int) -> tuple[int, int]:
+    """The lexicographically first far pair (u, v), u < v, of the far rows
+    with an end in the mask ``meets``; solve calls it only when one exists."""
+    for u, row in enumerate(rows):
+        hit = row >> u + 1 << u + 1
+        if not meets >> u & 1:
+            hit &= meets
+        if hit:
+            return u, (hit & -hit).bit_length() - 1
+    raise AssertionError("no far pair meets the mask")
 
 
 def apply_lemma(g: ColoredCocktail, e: CriticalPair,
@@ -325,16 +337,17 @@ def apply_lemma(g: ColoredCocktail, e: CriticalPair,
         if not g.adj(c)[x] & g.adj(c)[x ^ 1]:
             raise ValueError(f"partner pair ({x}, {x ^ 1}) has no common "
                              f"color-{c} neighbor: branch 2 applies")
-    return _shared_vertex_cover(g, e, f)
+    return _shared_vertex_cover(g, (e.u, e.v), (f.u, f.v))
 
 
-def _shared_vertex_cover(g: ColoredCocktail, e: CriticalPair,
-                         f: CriticalPair) -> Cover:
-    """Branch 3: e is color-1-critical, f color-2-critical, sharing a vertex."""
+def _shared_vertex_cover(g: ColoredCocktail, e: tuple[int, int],
+                         f: tuple[int, int]) -> Cover:
+    """Branch 3: the ends of a color-1-critical edge e and of a
+    color-2-critical edge f, sharing a vertex."""
     n = g.n
     full = (1 << n) - 1
-    x, y = (e.u, e.v) if e.u in (f.u, f.v) else (e.v, e.u)
-    q = f.u + f.v - x
+    x, y = e if e[0] in f else e[::-1]
+    q = f[0] + f[1] - x
     # col(x,y)=2 and col(x,q)=1 leave the partner of y as the only
     # placement for the far end of f: any other vertex would close a
     # 2-path killing one of the criticalities.

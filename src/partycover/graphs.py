@@ -214,11 +214,7 @@ def _red_mask_plan(n: int) -> tuple[tuple[tuple[int, int, int], ...],
 
     - runs: (keep, at, length) per vertex u < n - 2, moving its run of
       mask bits (the edges (u, v), v > u) to row u;
-    - steps: (shift, swap) per j = W/2, W/4, ..., 1, the block swaps that
-      transpose the matrix.  Step j trades, in every 2j x 2j block, the
-      top-right j x j block for the bottom-left one: bit (r, c) with
-      r & j == 0 and c & j != 0 moves to (r + j, c - j), j * (W - 1)
-      higher, and back;
+    - steps: _block_swap_steps(W, W), which transpose the matrix;
     - rows: the bit offset of each row;
     - others: each vertex's non-partner mask;
     - limit: 2**num_edges(n), one past the largest red mask.
@@ -230,16 +226,30 @@ def _red_mask_plan(n: int) -> tuple[tuple[tuple[int, int, int], ...],
         # v starts at u + 2 (even u) or u + 1 (odd u): v != u ^ 1
         start = u + 2 - (u & 1)
         runs.append(((1 << (n - start)) - 1, u * width + start, n - start))
+    full = (1 << n) - 1
+    return (tuple(runs), _block_swap_steps(width, width),
+            tuple(u * width for u in range(n)),
+            tuple(full ^ (3 << (u & ~1)) for u in range(n)), limit)
+
+
+def _block_swap_steps(size: int, width: int) -> tuple[tuple[int, int], ...]:
+    """(shift, swap) steps transposing every size x size tile of a bit
+    matrix held in one int, row r at bit r * width, size rows high.
+
+    size is a power of two dividing width.  Step j = size/2, ..., 1 trades,
+    in every 2j x 2j block, the top-right j x j block for the bottom-left
+    one: bit (r, c) with r & j == 0 and c & j != 0 moves to (r + j, c - j),
+    j * (width - 1) higher, and back.  Apply each step as
+    ``t = ((x >> shift) ^ x) & swap; x ^= t ^ (t << shift)``.
+    """
     steps = []
-    j = width >> 1
+    j = size >> 1
     while j:
         cols = sum(1 << c for c in range(width) if c & j)
-        rows = sum(1 << (r * width) for r in range(width) if not r & j)
+        rows = sum(1 << (r * width) for r in range(size) if not r & j)
         steps.append((j * (width - 1), cols * rows))
         j >>= 1
-    full = (1 << n) - 1
-    return (tuple(runs), tuple(steps), tuple(u * width for u in range(n)),
-            tuple(full ^ (3 << (u & ~1)) for u in range(n)), limit)
+    return tuple(steps)
 
 
 def from_red_mask(n: int, mask: int) -> ColoredCocktail:

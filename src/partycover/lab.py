@@ -7,6 +7,13 @@ module searches for such covers coloring by coloring and scans whole
 coloring spaces, exhaustively or by seeded sampling, with optional
 symmetry pruning and a deterministic machine-readable report.
 
+An unpruned scan up to n = 64 settles solve's first two branches (one
+color has diameter <= 2 on V; a partner pair is critical in one color) a
+block of colorings at a time: lane i of one int per edge holds that
+edge's color in coloring i, and a lane verifier re-derives each claimed
+cover.  The rest, and every coloring of a pruned or larger scan, go
+through solve, verify_cover and the diameter-2 search one at a time.
+
 Report determinism contract: ``machine_lines`` depends only on the scan
 parameters and the mathematics -- never on worker count or timing -- so
 runs with different ``workers`` values produce byte-identical reports.
@@ -26,7 +33,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from math import factorial
 from operator import itemgetter
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from .cover import (
     BRANCH_KEYS,
@@ -48,6 +55,7 @@ from .graphs import (
     num_edges,
     random_red_mask,
 )
+from . import lanes
 from .reach import _within2, is_diam2_subset, star
 
 #: Complete diameter-2 cover search walks 3**n assignments; refuse beyond this.
@@ -72,6 +80,18 @@ SCAN_MAX_WORKERS = 64
 #: workers-th sub-range from sub-range w, so each one samples the whole index
 #: range -- the costly low masks of a pruned sweep included.
 _SUBRANGES_PER_WORKER = 16
+
+#: Low mask bits an exhaustive lane block spans: 2**16 colorings per block.
+_LANE_BITS = 16
+
+#: Most sampled masks a random lane block holds.
+_RANDOM_LANES = 1 << 12
+
+#: Largest n whose unpruned scans take the lane path.  A block's two n x n
+#: lane tables grow as n**2 and its far-pair loops as n**3: at n = 128 a
+#: random block of 4 096 colorings holds 18 MB of tables and scans barely
+#: faster than one coloring at a time.
+_LANE_MAX_N = 64
 
 #: Color pairs (A, B) of the diameter-2 search; see _diam2_cover.
 _COLOR_PAIRS = ((RED, RED), (RED, BLUE), (BLUE, BLUE))
@@ -445,9 +465,16 @@ def _examine(g: ColoredCocktail, mask: int, check: str, part: _Partial) -> None:
 
 def _scan_chunk(n: int, mode: str, check: str, prune: bool, seed: int | None,
                 ranges: list[tuple[int, int]]) -> _Partial:
-    """Tally the colorings of every index range [lo, hi) in ranges."""
+    """Tally the colorings of every index range [lo, hi) in ranges.
+
+    Unpruned scans up to _LANE_MAX_N go a lane block at a time
+    (_tally_lanes); every other scan examines one coloring at a time.
+    """
     part = _Partial()
-    if mode == "exhaustive":
+    if not prune and n <= _LANE_MAX_N:
+        for masks, edge_lanes in _lane_blocks(n, mode, seed, ranges):
+            _tally_lanes(n, check, masks, edge_lanes, part)
+    elif mode == "exhaustive":
         # Gray-code walk: counter i visits mask i ^ (i >> 1), flipping one
         # edge per step, so adjacency updates are O(1).  Each range restarts
         # the walk from its own first mask.
@@ -474,6 +501,75 @@ def _scan_chunk(n: int, mode: str, check: str, prune: bool, seed: int | None,
                 mask = random_red_mask(n, seed + SEED_STRIDE * i)
                 _examine(from_red_mask(n, mask), mask, check, part)
     return part
+
+
+def _lane_blocks(n: int, mode: str, seed: int | None,
+                 ranges: list[tuple[int, int]]
+                 ) -> Iterator[tuple[Sequence[int], list[int]]]:
+    """(masks, edge_lanes) blocks holding the colorings of the index ranges.
+
+    edge_lanes[k] is edge k's lane int: bit i is set when masks[i] colors
+    edge k red.  The report depends only on the set of masks, so an exhaustive
+    range walks masks in index order, as whole blocks of 2**b masks sharing
+    their high bits (b = min(m, _LANE_BITS)) plus at most two partial ones:
+    each low edge is a fixed lane pattern and each high edge all or none.
+    A random share is drawn _RANDOM_LANES masks at a time, each block
+    sorted (so the lowest lane of a set is its smallest mask) and
+    transposed.
+    """
+    m = num_edges(n)
+    if mode == "random":
+        share = (i for lo, hi in ranges for i in range(lo, hi))
+        while masks := sorted(random_red_mask(n, seed + SEED_STRIDE * i)
+                              for i in itertools.islice(share, _RANDOM_LANES)):
+            yield masks, lanes.transpose(masks, m)
+        return
+    b = min(m, _LANE_BITS)
+    patterns = lanes.patterns(b)
+    for lo, hi in ranges:
+        for start in range(lo >> b << b, hi, 1 << b):
+            first, stop = max(lo, start), min(hi, start + (1 << b))
+            ones = (1 << (stop - first)) - 1
+            low = [p >> (first - start) & ones for p in patterns]
+            high = start >> b
+            yield range(first, stop), low + [ones if high >> j & 1 else 0
+                                             for j in range(m - b)]
+
+
+def _tally_lanes(n: int, check: str, masks: Sequence[int],
+                 edge_lanes: list[int], part: _Partial) -> None:
+    """Tally one lane block: the lane path for branches 1-2, _examine for
+    the residual colorings.
+
+    A claimed cover the lane verifier rejects is a reach failure, and its
+    coloring goes to the diameter-2 search alone; one it accepts counts as
+    a diameter-2 cover too, since V in a whole-c lane and any closed star
+    have in-set diameter <= 2.
+    """
+    ones = (1 << len(masks)) - 1
+    adj = lanes.adjacency(n, edge_lanes, ones)
+    claims, residual = lanes.covers(n, adj, ones)
+    rejected, small = lanes.verify(n, adj, claims)
+    covered = ones & ~residual
+    part.counts["examined"] += covered.bit_count()
+    if check in ("reach", "both"):
+        for (c, u), x in claims.items():
+            key = f"whole-{c}" if u is None else f"two-stars-{c}"
+            part.counts[key] += x.bit_count()
+            mask = masks[(x & -x).bit_length() - 1]
+            if mask < part.first.get(key, mask + 1):
+                part.first[key] = mask
+        part.failed["reach"].update(masks[i] for i in lanes.indices(rejected))
+        part.failed["corollary"].update(masks[i] for i in lanes.indices(small))
+    if check in ("diam2", "both"):
+        part.counts["diam2_found"] += (covered & ~rejected).bit_count()
+        for i in lanes.indices(rejected):
+            if _diam2_cover(from_red_mask(n, masks[i]), None) is not None:
+                part.counts["diam2_found"] += 1
+            else:
+                part.failed["diam2"].add(masks[i])
+    for i in lanes.indices(residual):
+        _examine(from_red_mask(n, masks[i]), masks[i], check, part)
 
 
 def _split(total: int, workers: int) -> list[list[tuple[int, int]]]:
@@ -554,6 +650,12 @@ def scan(n: int, mode: str = "exhaustive", check: str = "reach",
     max_exhaustive_n); mode "random" draws ``samples`` colorings from
     ``seed`` (sample i uses seed + SEED_STRIDE*i).  prune restricts an
     exhaustive scan to canonical orbit representatives.
+
+    Without prune and up to n = 64, the colorings that solve's branches
+    1-2 cover (whole-c and two-stars-c) are classified and verified a lane
+    block at a time (_tally_lanes) and never reach solve or verify_cover;
+    the others, and every coloring of a pruned or larger scan, are solved
+    and verified one at a time.
 
     workers = 1 scans the whole index range in this process.  workers > 1
     (at most SCAN_MAX_WORKERS) cuts the range into workers * 16 equal

@@ -46,10 +46,25 @@ def critical_pairs(g: ColoredCocktail, c: int) -> list[CriticalPair]:
     A critical *edge* of color c necessarily carries the other color; the
     partner pairs are the only possible critical non-edges.
     """
-    far: list[tuple[int, int]] = []
+    pairs = []
+    for u, row in enumerate(far_rows(g, c)):
+        row >>= u + 1  # bit i now stands for v = u + 1 + i
+        while row:
+            low = row & -row
+            v = u + low.bit_length()
+            pairs.append(CriticalPair(u, v, c, is_edge=v != (u ^ 1)))
+            row ^= low
+    return pairs
+
+
+def far_rows(g: ColoredCocktail, c: int) -> list[int]:
+    """Row v is the mask of the vertices at color-c distance > 2 from v.
+
+    The rows are symmetric, so their union is the set of far-pair ends.
+    """
+    far = [0] * g.n
     _within2(g.adj(c), (1 << g.n) - 1, -1, far)
-    return [CriticalPair(u, v, c, is_edge=v != (u ^ 1))
-            for u, v in sorted(far)]
+    return far
 
 
 def star(g: ColoredCocktail, c: int, center: int) -> int:
@@ -58,7 +73,7 @@ def star(g: ColoredCocktail, c: int, center: int) -> int:
 
 
 def _within2(adj: tuple[int, ...], members: int, middles: int,
-             far: list[tuple[int, int]] | None = None) -> bool:
+             far: list[int] | None = None) -> bool:
     """Every pair inside members is an edge or has a common neighbor in middles.
 
     Each u clears the later members it still needs one middle at a time:
@@ -70,8 +85,8 @@ def _within2(adj: tuple[int, ...], members: int, middles: int,
     table.  A vertex costs about log(deg) steps, not one per far pair.
 
     With ``far`` None the walk returns False at the first far pair.  Given
-    a list, it appends every far pair (u, v), u < v, and walks on; the
-    pairs come u ascending, v descending within each u.
+    a list of one zero row per vertex, it sets bit v of row u and bit u of
+    row v for every far pair {u, v} and walks on.
     """
     rest = members
     while rest:
@@ -89,7 +104,8 @@ def _within2(adj: tuple[int, ...], members: int, middles: int,
             elif far is None:
                 return False
             else:
-                far.append((u, v))
+                far[u] |= 1 << v
+                far[v] |= low
     return True
 
 
@@ -118,6 +134,7 @@ __all__ = [
     "CriticalPair",
     "critical_pairs",
     "dist_le2",
+    "far_rows",
     "is_2reachable_set",
     "is_diam2_subset",
     "mono_diam_le2",

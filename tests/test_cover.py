@@ -311,9 +311,8 @@ def test_apply_lemma_rejects_when_branch2_applies(compact, e, f):
 
 @pytest.mark.parametrize("compact,e,f", BRANCH2_WITNESSES)
 def test_shared_vertex_cover_asserts_partner_common_neighbors(compact, e, f):
+    # the private entry takes the two edges' ends, as solve reads them
     g = from_compact(compact)
-    e = CriticalPair(*e, RED, is_edge=True)
-    f = CriticalPair(*f, BLUE, is_edge=True)
     with pytest.raises(InternalInconsistencyError, match=compact) as info:
         _shared_vertex_cover(g, e, f)
     assert info.value.graph_compact == compact

@@ -15,12 +15,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import colorings
-from partycover import lab
+from partycover import lab, lanes
 from partycover.cover import (
     Cover,
     InternalInconsistencyError,
     branch_key,
     check_cover,
+    solve,
+    verify_cover,
 )
 from partycover.extremal import build_sharp_example
 from partycover.graphs import (
@@ -417,8 +419,32 @@ def _failing_masks(n, samples, seed):
     return {random_red_mask(n, seed + SEED_STRIDE * i) for i in range(samples)}
 
 
-def test_scan_failure_names_canonical_up_to_the_bound(monkeypatch):
+#: Census keys of the colorings scan classifies a lane block at a time.
+LANE_KEYS = ("whole-1", "whole-2", "two-stars-1", "two-stars-2")
+
+
+def _is_residual(n, mask):
+    """Does scan hand this coloring to the per-coloring path?"""
+    return branch_key(lab.solve(from_red_mask(n, mask)).certificate) \
+        not in LANE_KEYS
+
+
+def _reject_every_cover(monkeypatch):
+    """Fail both verifiers: verify_cover for residual colorings, and the
+    lane verifier for every cover the lane kernel claims."""
     monkeypatch.setattr(lab, "verify_cover", lambda g, cov: False)
+
+    def reject_lanes(n, adj, claims):
+        rejected = 0
+        for claimed in claims.values():
+            rejected |= claimed
+        return rejected, 0
+
+    monkeypatch.setattr(lanes, "verify", reject_lanes)
+
+
+def test_scan_failure_names_canonical_up_to_the_bound(monkeypatch):
+    _reject_every_cover(monkeypatch)
     n = CANONICAL_NAMES_MAX_N
     report = scan(n, "random", "reach", samples=2, seed=1, workers=1)
     names = {canonical_red_mask(n, m) for m in _failing_masks(n, 2, 1)}
@@ -428,7 +454,10 @@ def test_scan_failure_names_canonical_up_to_the_bound(monkeypatch):
 
 
 def test_scan_failure_names_raw_above_the_bound(monkeypatch):
-    monkeypatch.setattr(lab, "verify_cover", lambda g, cov: False)
+    # one of the two colorings is a lane coloring, the other residual
+    assert [_is_residual(12, m) for m in sorted(_failing_masks(12, 2, 1))] \
+        in ([True, False], [False, True])
+    _reject_every_cover(monkeypatch)
     misses = lab._edge_perm_tables.cache_info().misses
     report = scan(12, "random", "reach", samples=2, seed=1, workers=1)
     assert report.reach_failures == tuple(
@@ -460,9 +489,13 @@ def test_scan_both_solves_each_coloring_once(monkeypatch):
         calls.append(g.red_mask())
         return real(g)
 
+    # lane colorings never reach solve; each residual one reaches it once
+    residual = sorted(m for m in (random_red_mask(10, 3 + SEED_STRIDE * i)
+                                  for i in range(50)) if _is_residual(10, m))
     monkeypatch.setattr(lab, "solve", counting_solve)
     scan(10, "random", "both", samples=50, seed=3)
-    assert len(calls) == 50
+    assert sorted(calls) == residual
+    assert 0 < len(residual) < 50
 
 
 @pytest.mark.parametrize("kwargs", [
@@ -491,7 +524,8 @@ def test_scan_both_searches_on_after_an_assertion_failure(monkeypatch):
     full = (1 << n) - 1
     stars = [star(g154, c, v) for c in COLORS for v in range(n)]
     assert not any(s | t == full for s in stars for t in stars)
-    broken = {masks[0], masks[7], masks[154]}
+    broken = {masks[2], masks[7], masks[154]}
+    assert all(_is_residual(n, m) for m in broken)  # lanes never reach solve
 
     def failing_solve(g):
         if g.red_mask() in broken:
@@ -580,9 +614,12 @@ def _returns_within(seconds):
         signal.signal(signal.SIGALRM, previous)
 
 
-def _first_mask_of_job(n, workers, job):
-    lo = lab._split(1 << num_edges(n), workers)[job][0][0]
-    return lo ^ (lo >> 1)
+def _first_residual_mask_of_job(n, workers, job):
+    """The lowest mask of a job's share that reaches _examine: an unpruned
+    exhaustive scan walks each sub-range in index order and classifies
+    the lane colorings without it."""
+    return min(m for lo, hi in lab._split(1 << num_edges(n), workers)[job]
+               for m in range(lo, hi) if _is_residual(n, m))
 
 
 def _examine_failing_at(monkeypatch, bad, fail):
@@ -598,7 +635,7 @@ def _examine_failing_at(monkeypatch, bad, fail):
 
 @pytest.mark.parametrize("job", [0, 1])
 def test_scan_worker_exception_reaches_the_caller(monkeypatch, job):
-    bad = _first_mask_of_job(6, 2, job)
+    bad = _first_residual_mask_of_job(6, 2, job)
 
     def fail(g, mask):
         raise LookupError(f"injected at mask {mask}")
@@ -611,7 +648,7 @@ def test_scan_worker_exception_reaches_the_caller(monkeypatch, job):
 
 
 def test_scan_worker_internal_inconsistency_reaches_the_caller(monkeypatch):
-    bad = _first_mask_of_job(6, 2, 1)
+    bad = _first_residual_mask_of_job(6, 2, 1)
 
     def fail(g, mask):
         raise InternalInconsistencyError("injected", g)
@@ -636,7 +673,7 @@ def test_scan_worker_exception_that_cannot_be_unpickled(monkeypatch):
     def fail(g, mask):
         raise _TwoArgumentError("injected", mask)
 
-    bad = _first_mask_of_job(6, 2, 1)
+    bad = _first_residual_mask_of_job(6, 2, 1)
     _examine_failing_at(monkeypatch, bad, fail)
     with pytest.raises(RuntimeError,
                        match=f"^_TwoArgumentError: injected at mask {bad}$") as exc:
@@ -646,7 +683,7 @@ def test_scan_worker_exception_that_cannot_be_unpickled(monkeypatch):
 
 
 def test_scan_worker_that_dies_is_reported_with_its_exit_code(monkeypatch):
-    _examine_failing_at(monkeypatch, _first_mask_of_job(6, 3, 2),
+    _examine_failing_at(monkeypatch, _first_residual_mask_of_job(6, 3, 2),
                         lambda g, mask: os._exit(3))
     with pytest.raises(RuntimeError,
                        match="scan worker 2 exited with code 3 before sending"):
@@ -675,8 +712,8 @@ def test_scan_receives_a_large_tally_before_joining(monkeypatch):
 
 
 def test_scan_caller_failure_terminates_the_workers(monkeypatch):
-    stall = _first_mask_of_job(6, 2, 1)
-    bad = _first_mask_of_job(6, 2, 0)
+    stall = _first_residual_mask_of_job(6, 2, 1)
+    bad = _first_residual_mask_of_job(6, 2, 0)
     real = lab._examine
 
     def examine(g, mask, check, part):
@@ -785,3 +822,192 @@ def test_failed_report_formatting():
     assert not report.ok
     assert "failure.reach.0=4:3" in report.machine_lines()
     assert report.to_text().rstrip().endswith("result=FAILURES")
+
+
+# --- the bit-sliced branches 1-2 of scan against the per-coloring oracle
+
+
+def _lane_outcomes(n, masks, edge_lanes):
+    """Per lane: None for a residual lane, else (key, pair, rejected, small)
+    from the lane kernel and the lane verifier; pair is None for whole-c."""
+    ones = (1 << len(masks)) - 1
+    adj = lanes.adjacency(n, edge_lanes, ones)
+    claims, residual = lanes.covers(n, adj, ones)
+    rejected, small = lanes.verify(n, adj, claims)
+    out = dict.fromkeys(lanes.indices(residual))
+    for (c, u), x in claims.items():
+        key = f"whole-{c}" if u is None else f"two-stars-{c}"
+        for i in lanes.indices(x):
+            assert i not in out
+            out[i] = (key, u, bool(rejected >> i & 1), bool(small >> i & 1))
+    assert sorted(out) == list(range(len(masks)))
+    return [out[i] for i in range(len(masks))]
+
+
+def _oracle_outcome(n, mask):
+    """What solve, verify_cover and the corollary say of one coloring, in
+    _lane_outcomes's form; the cover of a lane coloring has in-set
+    diameter <= 2 in both parts."""
+    g = from_red_mask(n, mask)
+    cov = solve(g)
+    key = branch_key(cov.certificate)
+    if key not in LANE_KEYS:
+        return None
+    assert is_diam2_subset(g, cov.color_a, cov.a)
+    assert is_diam2_subset(g, cov.color_b, cov.b)
+    pair = cov.certificate.center1 if key.startswith("two-stars") else None
+    small = max(cov.a.bit_count(), cov.b.bit_count()) < (n + 1) // 2
+    return (key, pair, not verify_cover(g, cov), small)
+
+
+def _assert_blocks_match_oracle(n, blocks):
+    keys = set()
+    for masks, edge_lanes in blocks:
+        assert len(edge_lanes) == num_edges(n)
+        for mask, got in zip(masks, _lane_outcomes(n, masks, edge_lanes)):
+            assert got == _oracle_outcome(n, mask), (n, mask)
+            keys.add(got and got[0])
+    return keys
+
+
+@pytest.mark.parametrize("n", [2, 4, 6])
+def test_lane_path_matches_the_oracle_on_every_coloring(n):
+    total = 1 << num_edges(n)
+    blocks = list(lab._lane_blocks(n, "exhaustive", None, [(0, total)]))
+    assert [list(masks) for masks, _ in blocks] == [list(range(total))]
+    keys = _assert_blocks_match_oracle(n, blocks)
+    # n = 6 is the smallest order with a residual coloring
+    assert keys == {2: {"two-stars-2"}, 4: set(LANE_KEYS),
+                    6: {*LANE_KEYS, None}}[n]
+    # the report: counts, first colorings and the diameter-2 tally
+    counts = dict.fromkeys(lab.BRANCH_KEYS, 0)
+    first = {}
+    for mask in range(total):
+        key = branch_key(solve(from_red_mask(n, mask)).certificate)
+        counts[key] += 1
+        first.setdefault(key, mask_to_compact(n, mask))
+    report = scan(n, check="both")
+    assert report.branch_counts == counts
+    assert report.branch_first == first
+    assert report.diam2_cover_found == total and report.ok
+
+
+def test_lane_path_matches_the_oracle_on_n8_blocks():
+    """A whole 2**16-lane block at seeded high bits, and sub-ranges that
+    start and end inside a block or straddle two blocks."""
+    rng = random.Random(88)
+    high = rng.getrandbits(8) << 16
+    ranges = [(high, high + (1 << 16))]
+    for _ in range(3):
+        lo = rng.getrandbits(24 - 1)
+        ranges.append((lo, lo + rng.randrange(1, 400)))
+    ranges.append((high + (5 << 16) - 150, high + (5 << 16) + 250))
+    blocks = list(lab._lane_blocks(8, "exhaustive", None, ranges))
+    assert len(blocks) == 6
+    assert [m for masks, _ in blocks for m in masks] == \
+        [m for lo, hi in ranges for m in range(lo, hi)]
+    assert _assert_blocks_match_oracle(8, blocks) == {*LANE_KEYS, None}
+
+
+@pytest.mark.parametrize("samples", [1, 2, 63, 64, 65, 300])
+def test_lane_path_matches_the_oracle_on_n10_random_shares(samples):
+    seed = 1000 + samples
+    blocks = list(lab._lane_blocks(10, "random", seed, [(0, samples)]))
+    assert [masks for masks, _ in blocks] == [sorted(
+        random_red_mask(10, seed + SEED_STRIDE * i) for i in range(samples))]
+    keys = _assert_blocks_match_oracle(10, blocks)
+    if samples == 300:
+        assert keys == {*LANE_KEYS, None}
+
+
+@pytest.mark.parametrize("m,count", [
+    (1, 1), (12, 63), (40, 64), (64, 65), (65, 130), (130, 200)])
+def test_transpose_masks_matches_the_bitwise_definition(m, count):
+    rng = random.Random(m * 1000 + count)
+    masks = [rng.getrandbits(m) for _ in range(count)]
+    assert lanes.transpose(masks, m) == [
+        sum(1 << i for i, mask in enumerate(masks) if mask >> k & 1)
+        for k in range(m)]
+
+
+def test_lane_verifier_rejects_every_forged_cover():
+    """Claim every cover the kernel could claim -- V in either color, or
+    the two closed c-stars of any partner pair -- for every n = 6
+    coloring.  The verifier rejects a lane exactly when check_cover
+    rejects that cover, and flags it small exactly when neither part has
+    n/2 vertices: a wrong key or a wrong pair is caught."""
+    n = 6
+    full = (1 << n) - 1
+    (masks, edge_lanes), = lab._lane_blocks(n, "exhaustive", None,
+                                       [(0, 1 << num_edges(n))])
+    graphs = [from_red_mask(n, mask) for mask in masks]
+    ones = (1 << len(masks)) - 1
+    adj = lanes.adjacency(n, edge_lanes, ones)
+    for c in COLORS:
+        for u in (None, *range(0, n, 2)):
+            rejected, small = lanes.verify(n, adj, {(c, u): ones})
+            for i, g in enumerate(graphs):
+                a, b = ((full, 0) if u is None
+                        else (star(g, c, u), star(g, c, u + 1)))
+                bad = check_cover(g, Cover(n, a, c, b, c)) is not None
+                assert bool(rejected >> i & 1) == bad
+                too_small = max(a.bit_count(), b.bit_count()) < n // 2
+                assert bool(small >> i & 1) == too_small
+            assert 0 < rejected.bit_count() < len(masks)
+
+
+def test_scan_counts_lanes_the_verifier_rejects_as_reach_failures(monkeypatch):
+    # forge one claim: every whole-1 lane is claimed whole-2 instead
+    real = lanes.covers
+
+    def forged(n, adj, ones):
+        claims, residual = real(n, adj, ones)
+        if (RED, None) in claims:
+            claims[BLUE, None] = claims.get((BLUE, None), 0) | claims.pop((RED, None))
+        return claims, residual
+
+    clean = scan(6, check="both")
+    monkeypatch.setattr(lanes, "covers", forged)
+    report = scan(6, check="both")
+    whole1 = {m for m in range(1 << num_edges(6))
+              if branch_key(solve(from_red_mask(6, m)).certificate) == "whole-1"}
+    assert report.reach_failures == tuple(
+        mask_to_compact(6, m)
+        for m in sorted({canonical_red_mask(6, m) for m in whole1}))
+    assert report.branch_counts["whole-1"] == 0
+    assert report.branch_counts["whole-2"] == \
+        clean.branch_counts["whole-1"] + clean.branch_counts["whole-2"]
+    # the rejected colorings still get the diameter-2 search
+    assert report.diam2_cover_found == 1 << num_edges(6)
+
+
+@pytest.mark.parametrize("n", [lab._LANE_MAX_N, lab._LANE_MAX_N + 2])
+def test_scan_takes_the_lane_path_up_to_its_bound(monkeypatch, n):
+    """Above _LANE_MAX_N every coloring is solved one at a time; at the
+    bound only the residual ones are."""
+    masks = [random_red_mask(n, 5 + SEED_STRIDE * i) for i in range(3)]
+    keys = [branch_key(solve(from_red_mask(n, m)).certificate) for m in masks]
+    calls = []
+    real = lab.solve
+
+    def counting_solve(g):
+        calls.append(g.red_mask())
+        return real(g)
+
+    monkeypatch.setattr(lab, "solve", counting_solve)
+    report = scan(n, "random", "reach", samples=3, seed=5)
+    residual = [m for m, k in zip(masks, keys) if k not in LANE_KEYS]
+    assert sorted(calls) == sorted(masks if n > lab._LANE_MAX_N else residual)
+    assert {k: v for k, v in report.branch_counts.items() if v} == \
+        {k: keys.count(k) for k in keys}
+    assert report.ok
+
+
+@pytest.mark.parametrize("block", [1, 7, 64, 65])
+def test_scan_random_blocks_of_any_size_match_the_golden(monkeypatch, block):
+    # a share drawn in several sorted blocks: first.<key> is the least
+    # lowest lane over the blocks
+    monkeypatch.setattr(lab, "_RANDOM_LANES", block)
+    report = scan(10, mode="random", check="both", samples=300, seed=2)
+    assert report.machine_text() == \
+        (FIXTURES / "scan_n10_random_both.txt").read_text()
