@@ -7,12 +7,17 @@ module searches for such covers coloring by coloring and scans whole
 coloring spaces, exhaustively or by seeded sampling, with optional
 symmetry pruning and a deterministic machine-readable report.
 
-An unpruned scan up to n = 64 settles solve's first two branches (one
-color has diameter <= 2 on V; a partner pair is critical in one color) a
-block of colorings at a time: lane i of one int per edge holds that
-edge's color in coloring i, and a lane verifier re-derives each claimed
-cover.  The rest, and every coloring of a pruned or larger scan, go
-through solve, verify_cover and the diameter-2 search one at a time.
+An unpruned scan up to n = 64 settles solve's branches 1, 2 and 4 (one
+color has diameter <= 2 on V; a partner pair is critical in one color;
+the critical edges of the two colors have disjoint ends) a block of
+colorings at a time: lane i of one int per edge holds that edge's color
+in coloring i, a lane verifier re-derives each claimed cover, and the
+stage 1 of the diameter-2 search runs on the same lanes.  The branch-3
+colorings, the branch-4 ones of a block with few residual colorings, and
+every coloring of a pruned or larger scan go through solve, verify_cover
+and the diameter-2 search one at a time.  The human report keeps the
+message of each internal assertion failure; the machine report counts
+them only.
 
 Report determinism contract: ``machine_lines`` depends only on the scan
 parameters and the mathematics -- never on worker count or timing -- so
@@ -93,6 +98,22 @@ _RANDOM_LANES = 1 << 12
 #: faster than one coloring at a time.
 _LANE_MAX_N = 64
 
+#: Residual colorings per vertex a lane block needs before they go through
+#: the branch-4 lane pass (transpose, lanes.complements, lanes.verify);
+#: fewer all go to _examine.  The pass costs a fixed part plus a little
+#: per coloring, and each critical-complement coloring it settles saves an
+#: _examine.  Over R residual colorings of uniform random blocks (2 vCPUs,
+#: Python 3.11), pass against _examine of their critical-complement ones:
+#:   n =  8: R =  4 0.07 / 0.04 ms, R =  8 0.07 / 0.07, R = 16 0.11 / 0.26
+#:   n = 10: R =  5 0.13 / 0.13 ms, R = 10 0.18 / 0.31, R = 20 0.21 / 0.52
+#:   n = 16: R =  8 0.54 / 0.51 ms, R = 16 0.71 / 0.87, R = 32 1.02 / 1.91
+#:   n = 24: R = 12 1.63 / 1.25 ms, R = 24 1.90 / 2.52, R = 48 2.85 / 5.02
+#:   n = 32: R = 16 3.06 / 3.20 ms, R = 32 4.68 / 6.37, R = 64 5.68 / 12.77
+#: It breaks even near R = n/2 (n at n = 8, where a third of the residual
+#: is critical-complement), so R >= n leaves a margin.  A uniform 4 096-lane
+#: block holds about 8 residual colorings at n = 32 and none at n = 64.
+_COMPLEMENT_MIN_RESIDUAL = 1
+
 #: Color pairs (A, B) of the diameter-2 search; see _diam2_cover.
 _COLOR_PAIRS = ((RED, RED), (RED, BLUE), (BLUE, BLUE))
 
@@ -114,19 +135,11 @@ def exists_diam2_cover(g: ColoredCocktail,
         raise ValueError(
             f"n={n} exceeds the diameter-2 search bound {max_n} "
             f"(3**n assignments); pass max_n to override")
-    return _diam2_cover(g, _solve_or_none(g))
-
-
-def _solve_or_none(g: ColoredCocktail) -> Cover | None:
-    """solve(g), or None after an InternalInconsistencyError.
-
-    The diameter-2 search must not die with the constructive route, and
-    the scan records the failure instead of stopping.
-    """
     try:
-        return solve(g)
+        cov = solve(g)
     except InternalInconsistencyError:
-        return None
+        cov = None  # the search must not die with the constructive route
+    return _diam2_cover(g, cov)
 
 
 def _diam2_cover(g: ColoredCocktail, cov: Cover | None) -> Cover | None:
@@ -337,6 +350,8 @@ class _Partial:
     first: dict[str, int] = field(default_factory=dict)
     failed: dict[str, set[int]] = field(default_factory=lambda: {
         kind: set() for kind in ("reach", "assertion", "corollary", "diam2")})
+    #: The message of each assertion failure, by mask.
+    reasons: dict[int, str] = field(default_factory=dict)
 
     def merge(self, other: "_Partial") -> None:
         for key, cnt in other.counts.items():
@@ -346,6 +361,7 @@ class _Partial:
                 self.first[key] = mask
         for kind, masks in other.failed.items():
             self.failed[kind] |= masks
+        self.reasons.update(other.reasons)
 
 
 @dataclass(frozen=True)
@@ -369,6 +385,9 @@ class ScanReport:
     diam2_failures: tuple[str, ...] | None
     wall_time: float
     workers: int
+    #: The InternalInconsistencyError message of each assertion failure,
+    #: in assertion_failures order; human report only.
+    assertion_reasons: tuple[str, ...] = ()
 
     @property
     def ok(self) -> bool:
@@ -425,6 +444,8 @@ class ScanReport:
             lines.append("prune group: partner-pair permutations x in-pair "
                          "swaps x color swap")
         lines.extend(self.machine_lines()[1:])
+        for i, reason in enumerate(self.assertion_reasons):
+            lines.append(f"failure.assertion.{i}.reason={reason}")
         if self.check in ("reach", "both"):
             silent = [k for k in BRANCH_KEYS if not self.branch_counts[k]]
             lines.append("branches never fired at this n: "
@@ -441,12 +462,18 @@ def _examine(g: ColoredCocktail, mask: int, check: str, part: _Partial) -> None:
     Under reach/both the cover is verified and its branch counted; under
     diam2/both the same cover (None after an assertion failure) seeds the
     diameter-2 search, whose stage 1 re-checks it rather than trusting it.
+    An assertion failure keeps its message.
     """
     part.counts["examined"] += 1
-    cov = _solve_or_none(g)
+    try:
+        cov = solve(g)
+    except InternalInconsistencyError as exc:
+        cov = None
+        reason = str(exc)
     if check in ("reach", "both"):
         if cov is None:
             part.failed["assertion"].add(mask)
+            part.reasons[mask] = reason
         else:
             key = branch_key(cov.certificate)
             part.counts[key] += 1
@@ -538,38 +565,69 @@ def _lane_blocks(n: int, mode: str, seed: int | None,
 
 def _tally_lanes(n: int, check: str, masks: Sequence[int],
                  edge_lanes: list[int], part: _Partial) -> None:
-    """Tally one lane block: the lane path for branches 1-2, _examine for
-    the residual colorings.
+    """Tally one lane block: the lane path for branches 1, 2 and 4,
+    _examine for the branch-3 colorings.
 
-    A claimed cover the lane verifier rejects is a reach failure, and its
-    coloring goes to the diameter-2 search alone; one it accepts counts as
-    a diameter-2 cover too, since V in a whole-c lane and any closed star
-    have in-set diameter <= 2.
+    The residual colorings of branches 1-2 go through branch 4 as a block
+    of their own, transposed afresh so that its lane ints are no wider
+    than the residual, when there are enough of them to pay for it
+    (_complements_pay); else all of them go to _examine.
     """
     ones = (1 << len(masks)) - 1
     adj = lanes.adjacency(n, edge_lanes, ones)
     claims, residual = lanes.covers(n, adj, ones)
-    rejected, small = lanes.verify(n, adj, claims)
-    covered = ones & ~residual
-    part.counts["examined"] += covered.bit_count()
-    if check in ("reach", "both"):
-        for (c, u), x in claims.items():
-            key = f"whole-{c}" if u is None else f"two-stars-{c}"
+    _tally_claims(n, check, masks, adj, claims, part)
+    rest = [masks[i] for i in lanes.indices(residual)]
+    if _complements_pay(n, len(rest)):
+        ones = (1 << len(rest)) - 1
+        adj = lanes.adjacency(n, lanes.transpose(rest, num_edges(n)), ones)
+        claims, left = lanes.complements(n, adj, ones)
+        _tally_claims(n, check, rest, adj, claims, part)
+        rest = [rest[i] for i in lanes.indices(left)]
+    for mask in rest:
+        _examine(from_red_mask(n, mask), mask, check, part)
+
+
+def _tally_claims(n: int, check: str, masks: Sequence[int],
+                  adj: dict[int, list[list[int]]], claims: lanes.Claims,
+                  part: _Partial) -> None:
+    """Tally the claimed lanes of one block.
+
+    A claimed cover the lane verifier rejects is a reach failure, and its
+    coloring goes to the diameter-2 search alone.  One it accepts counts
+    as a diameter-2 cover too when both parts pass the lane stage 1 (V in
+    a whole-c lane and any closed star always do); a critical-complement
+    coloring that fails it also goes to the search alone, whose answer
+    does not depend on the stage 1 it skips.
+    """
+    rejected, small, wide = lanes.verify(n, adj, claims)
+    covered = 0
+    for claim, x in claims.items():
+        covered |= x
+        if check in ("reach", "both"):
+            key = lanes.census_key(claim)
             part.counts[key] += x.bit_count()
             mask = masks[(x & -x).bit_length() - 1]
             if mask < part.first.get(key, mask + 1):
                 part.first[key] = mask
+    part.counts["examined"] += covered.bit_count()
+    if check in ("reach", "both"):
         part.failed["reach"].update(masks[i] for i in lanes.indices(rejected))
         part.failed["corollary"].update(masks[i] for i in lanes.indices(small))
     if check in ("diam2", "both"):
-        part.counts["diam2_found"] += (covered & ~rejected).bit_count()
-        for i in lanes.indices(rejected):
+        alone = rejected | wide
+        part.counts["diam2_found"] += (covered & ~alone).bit_count()
+        for i in lanes.indices(alone):
             if _diam2_cover(from_red_mask(n, masks[i]), None) is not None:
                 part.counts["diam2_found"] += 1
             else:
                 part.failed["diam2"].add(masks[i])
-    for i in lanes.indices(residual):
-        _examine(from_red_mask(n, masks[i]), masks[i], check, part)
+
+
+def _complements_pay(n: int, residual: int) -> bool:
+    """Does a block with this many residual lanes go through
+    lanes.complements?  See _COMPLEMENT_MIN_RESIDUAL."""
+    return residual >= _COMPLEMENT_MIN_RESIDUAL * n
 
 
 def _split(total: int, workers: int) -> list[list[tuple[int, int]]]:
@@ -652,10 +710,12 @@ def scan(n: int, mode: str = "exhaustive", check: str = "reach",
     exhaustive scan to canonical orbit representatives.
 
     Without prune and up to n = 64, the colorings that solve's branches
-    1-2 cover (whole-c and two-stars-c) are classified and verified a lane
-    block at a time (_tally_lanes) and never reach solve or verify_cover;
-    the others, and every coloring of a pruned or larger scan, are solved
-    and verified one at a time.
+    1, 2 and 4 cover (whole-c, two-stars-c and critical-complement) are
+    classified and verified a lane block at a time (_tally_lanes) and
+    never reach solve or verify_cover; the branch-3 ones, the branch-4
+    ones of a block whose residual is too sparse for the lane pass, and
+    every coloring of a pruned or larger scan are solved and verified one
+    at a time.
 
     workers = 1 scans the whole index range in this process.  workers > 1
     (at most SCAN_MAX_WORKERS) cuts the range into workers * 16 equal
@@ -708,6 +768,10 @@ def scan(n: int, mode: str = "exhaustive", check: str = "reach",
     failures = {kind: tuple(mask_to_compact(n, m)
                             for m in sorted({name(n, m) for m in masks}))
                 for kind, masks in merged.failed.items()}
+    # a failure name's reason is that of its smallest mask
+    reasons: dict[str, str] = {}
+    for mask, reason in sorted(merged.reasons.items()):
+        reasons.setdefault(mask_to_compact(n, name(n, mask)), reason)
     diam2 = check in ("diam2", "both")
     return ScanReport(
         n=n,
@@ -728,4 +792,5 @@ def scan(n: int, mode: str = "exhaustive", check: str = "reach",
         diam2_failures=failures["diam2"] if diam2 else None,
         wall_time=wall,
         workers=workers,
+        assertion_reasons=tuple(reasons[f] for f in failures["assertion"]),
     )

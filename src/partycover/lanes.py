@@ -1,12 +1,14 @@
-"""solve's branches 1 and 2 bit-sliced over a block of colorings.
+"""solve's branches 1, 2 and 4 bit-sliced over a block of colorings.
 
 Lane i of every int here stands for coloring i of a block (Biham, *A
 fast new DES implementation in software*, FSE 1997): an edge's lane int
 has bit i set when coloring i colors that edge red.  ``covers`` settles
 branch 1 (one color has diameter <= 2 on V) and branch 2 (a partner
-pair is critical in one color) for every lane at once, and ``verify``
-re-derives each cover it claims from the edge lanes.  lab.scan sends the
-lanes neither branch covers through solve one coloring at a time.
+pair is critical in one color) for every lane at once, ``complements``
+settles branch 4 (the critical edges of the two colors have disjoint
+ends) on the lanes left, and ``verify`` re-derives each cover they
+claim from the edge lanes.  lab.scan sends the lanes of branch 3 through
+solve one coloring at a time.
 """
 
 from __future__ import annotations
@@ -14,6 +16,11 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .graphs import BLUE, COLORS, RED, _block_swap_steps, edge_list, flip
+
+#: Claimed covers: each key maps to the lanes it covers.  (c, None) is
+#: whole-c, (c, u) two-stars-c at the partner pair (u, u + 1), and (p, q)
+#: critical-complement, with p and q tuples of one lane int per vertex.
+Claims = dict[tuple, int]
 
 
 @lru_cache(maxsize=1)
@@ -86,7 +93,7 @@ def _far(row_u: list[int], row_v: list[int], need: int) -> int:
 
 
 def covers(n: int, adj: dict[int, list[list[int]]],
-           ones: int) -> tuple[dict[tuple[int, int | None], int], int]:
+           ones: int) -> tuple[Claims, int]:
     """solve's branches 1 and 2 on every lane: (claims, residual lanes).
 
     A claim (c, None) holds the whole-c lanes, whose cover is V in color c;
@@ -99,7 +106,7 @@ def covers(n: int, adj: dict[int, list[list[int]]],
     pairs = range(0, n, 2)
     critical = {c: [_far(adj[c][u], adj[c][u + 1], ones) for u in pairs]
                 for c in COLORS}
-    claims: dict[tuple[int, int | None], int] = {}
+    claims: Claims = {}
     rest = ones
     for c in COLORS:
         # V has diameter <= 2 in c: no partner pair is far, nor is any edge
@@ -124,36 +131,123 @@ def covers(n: int, adj: dict[int, list[list[int]]],
     return claims, rest
 
 
+def complements(n: int, adj: dict[int, list[list[int]]],
+                residual: int) -> tuple[Claims, int]:
+    """solve's branch 4 on the residual lanes of covers: (claims, left).
+
+    A residual lane has no far partner pair, so its c-far pairs are the
+    c-critical edges, and their ends are its far-pair ends.  p[v] holds the
+    lanes where v ends a red-critical edge, q[v] the same for blue.  The
+    lanes where no vertex is in both get the one claim keyed (p, q), both
+    cut to those lanes: their cover is A = V - p in red and B = V - q in
+    blue.  left holds the other lanes, whose critical edges share an end
+    (branch 3).
+    """
+    ends = []
+    for c in COLORS:
+        table, row = adj[c], [0] * n
+        for u, v in edge_list(n):
+            need = residual & ~table[u][v]
+            if need:
+                far = _far(table[u], table[v], need)
+                row[u] |= far
+                row[v] |= far
+        ends.append(row)
+    p, q = ends
+    meet = 0
+    for x, y in zip(p, q):
+        meet |= x & y
+    found = residual & ~meet
+    if not found:
+        return {}, residual
+    return ({(tuple(x & found for x in p), tuple(y & found for y in q)): found},
+            residual & meet)
+
+
+def census_key(claim: tuple) -> str:
+    """solve's census key of the lanes under a claim key."""
+    if isinstance(claim[0], tuple):
+        return "critical-complement"
+    c, u = claim
+    return f"whole-{c}" if u is None else f"two-stars-{c}"
+
+
 def verify(n: int, adj: dict[int, list[list[int]]],
-           claims: dict[tuple[int, int | None], int]) -> tuple[int, int]:
-    """Re-derive every claimed cover from the edge lanes: (rejected, small).
+           claims: Claims) -> tuple[int, int, int]:
+    """Re-derive every claimed cover from the edge lanes: (rejected, small,
+    wide).
 
     A whole-c lane needs V 2-reachable in c: each pair an edge or with a
-    common neighbor.  A two-stars lane needs the pair's two closed stars to
-    cover V.  It does not re-test the criticality that solve's branch
-    tests.  small holds the lanes where neither part has n/2 vertices,
-    from a lane-wise count of each star.
+    common neighbor.  A critical-complement lane (p, q) needs the same of
+    A = V - p in red and of B = V - q in blue, and A and B to cover V.  A
+    two-stars lane needs the pair's two closed stars to cover V.  It does
+    not re-test the criticality that solve's branches test.  small holds
+    the lanes where neither part has n/2 vertices, from a lane-wise count
+    of each part.  wide holds the critical-complement lanes where a part
+    has a pair with no edge and no middle inside the part: the stage 1 of
+    the diameter-2 search, which V and a closed star always pass.
     """
-    rejected = small = 0
-    need = n // 2 - 1  # neighbors of a star center that has n/2 vertices
-    for (c, u), lanes in claims.items():
-        table = adj[c]
-        if u is None:
-            for s in range(n):
-                for t in range(s + 1, n):
-                    miss = lanes & ~table[s][t]
-                    for x, y in zip(table[s], table[t]):
-                        if not miss:
-                            break
-                        miss &= ~(x & y)
-                    rejected |= miss
+    rejected = small = wide = 0
+    half = n // 2
+    for claim, lanes in claims.items():
+        if isinstance(claim[0], tuple):
+            p, q = claim
+            a = [lanes & ~x for x in p]
+            b = [lanes & ~y for y in q]
+            for x, y in zip(a, b):
+                rejected |= lanes & ~(x | y)
+            for color, members in ((RED, a), (BLUE, b)):
+                far, out = _unreached(adj[color], members, in_set=True)
+                rejected |= far
+                wide |= out
+            small |= lanes & ~(_at_least(a, half) | _at_least(b, half))
             continue
-        star_u, star_v = table[u], table[u + 1]
-        for w in range(n):
-            if w >> 1 != u >> 1:
-                rejected |= lanes & ~(star_u[w] | star_v[w])
-        small |= lanes & ~(_at_least(star_u, need) | _at_least(star_v, need))
-    return rejected, small
+        c, u = claim
+        if u is None:
+            # the same check with every vertex a member
+            rejected |= _unreached(adj[c], [lanes] * n)[0]
+        else:
+            star_u, star_v = adj[c][u], adj[c][u + 1]
+            for w in range(n):
+                if w >> 1 != u >> 1:
+                    rejected |= lanes & ~(star_u[w] | star_v[w])
+            # a closed star of n/2 vertices: its center and n/2 - 1 neighbors
+            small |= lanes & ~(_at_least(star_u, half - 1)
+                               | _at_least(star_v, half - 1))
+    return rejected, small, wide
+
+
+def _unreached(table: list[list[int]], members: list[int],
+               in_set: bool = False) -> tuple[int, int]:
+    """(far, out): the lanes where two members are not within 2 in table,
+    the middle anywhere, and, with in_set, the lanes where two members
+    have no edge and no middle among the members (else 0).
+
+    members[v] holds the lanes where v is a member.  A pair missing a
+    middle anywhere misses an in-set one too, so with in_set only the
+    lanes left without an in-set middle look for one anywhere.
+    """
+    far = out = 0
+    n = len(table)
+    for s in range(n):
+        row_s, here = table[s], members[s]
+        for t in range(s + 1, n):
+            miss = here & members[t] & ~row_s[t]
+            if not miss:
+                continue
+            row_t = table[t]
+            if in_set:
+                for x, y, m in zip(row_s, row_t, members):
+                    miss &= ~(x & y & m)
+                    if not miss:
+                        break
+                out |= miss
+            for x, y in zip(row_s, row_t):
+                if not miss:
+                    break
+                miss &= ~(x & y)
+            far |= miss
+    return far, out
 
 
 def _at_least(row: list[int], count: int) -> int:

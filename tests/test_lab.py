@@ -1,6 +1,7 @@
 """Diameter-2 cover search, symmetry machinery, coloring-space scans."""
 
 import contextlib
+import dataclasses
 import hashlib
 import itertools
 import multiprocessing
@@ -410,6 +411,10 @@ def test_scan_n6_matches_fixture():
     (dict(n=6, check="both", prune=True, workers=3), "scan_n6_both_pruned.txt"),
     (dict(n=10, mode="random", check="both", samples=300, seed=2, workers=3),
      "scan_n10_random_both.txt"),
+    (dict(n=8, mode="random", check="both", samples=20000, seed=5),
+     "scan_n8_random_both.txt"),
+    (dict(n=8, mode="random", check="both", samples=20000, seed=5, workers=2),
+     "scan_n8_random_both.txt"),
 ])
 def test_scan_report_goldens(kwargs, fixture):
     assert scan(**kwargs).machine_text() == (FIXTURES / fixture).read_text()
@@ -419,14 +424,23 @@ def _failing_masks(n, samples, seed):
     return {random_red_mask(n, seed + SEED_STRIDE * i) for i in range(samples)}
 
 
-#: Census keys of the colorings scan classifies a lane block at a time.
+#: Census keys of the colorings scan classifies a lane block at a time;
+#: a block's critical-complement colorings join them when its residual
+#: pays for the branch-4 lane pass (lab._complements_pay).
 LANE_KEYS = ("whole-1", "whole-2", "two-stars-1", "two-stars-2")
+COMPLEMENT = "critical-complement"
 
 
-def _is_residual(n, mask):
-    """Does scan hand this coloring to the per-coloring path?"""
-    return branch_key(lab.solve(from_red_mask(n, mask)).certificate) \
-        not in LANE_KEYS
+def _is_residual(n, mask, complements=False):
+    """Does scan hand this coloring to the per-coloring path, in a block
+    whose residual goes through the branch-4 lane pass or not?"""
+    key = branch_key(lab.solve(from_red_mask(n, mask)).certificate)
+    return key not in LANE_KEYS and not (complements and key == COMPLEMENT)
+
+
+def _never_complements(monkeypatch):
+    """Send every block's residual to _examine."""
+    monkeypatch.setattr(lab, "_COMPLEMENT_MIN_RESIDUAL", 1 << 62)
 
 
 def _reject_every_cover(monkeypatch):
@@ -438,7 +452,7 @@ def _reject_every_cover(monkeypatch):
         rejected = 0
         for claimed in claims.values():
             rejected |= claimed
-        return rejected, 0
+        return rejected, 0, 0
 
     monkeypatch.setattr(lanes, "verify", reject_lanes)
 
@@ -481,7 +495,7 @@ def test_scan_report_goldens_under_start_method(monkeypatch, method):
         assert report.machine_text() == (FIXTURES / fixture).read_text()
 
 
-def test_scan_both_solves_each_coloring_once(monkeypatch):
+def _assert_scan_solves_each_residual_coloring_once(monkeypatch, samples):
     calls = []
     real = lab.solve
 
@@ -489,13 +503,25 @@ def test_scan_both_solves_each_coloring_once(monkeypatch):
         calls.append(g.red_mask())
         return real(g)
 
-    # lane colorings never reach solve; each residual one reaches it once
-    residual = sorted(m for m in (random_red_mask(10, 3 + SEED_STRIDE * i)
-                                  for i in range(50)) if _is_residual(10, m))
+    # lane colorings never reach solve; each residual one reaches it once.
+    # The 20-coloring block is too sparse for the branch-4 lane pass, so its
+    # critical-complement colorings reach solve too; the 300 one is not.
+    masks = [random_red_mask(10, 3 + SEED_STRIDE * i) for i in range(samples)]
+    pays = lab._complements_pay(10, sum(_is_residual(10, m) for m in masks))
+    assert pays == (samples == 300)
+    residual = sorted(m for m in masks if _is_residual(10, m, pays))
     monkeypatch.setattr(lab, "solve", counting_solve)
-    scan(10, "random", "both", samples=50, seed=3)
+    scan(10, "random", "both", samples=samples, seed=3)
     assert sorted(calls) == residual
-    assert 0 < len(residual) < 50
+    assert 0 < len(residual) < samples / 2
+
+
+def test_scan_both_solves_each_coloring_once(monkeypatch):
+    _assert_scan_solves_each_residual_coloring_once(monkeypatch, 20)
+
+
+def test_scan_both_solves_only_branch3_colorings_of_a_dense_block(monkeypatch):
+    _assert_scan_solves_each_residual_coloring_once(monkeypatch, 300)
 
 
 @pytest.mark.parametrize("kwargs", [
@@ -525,7 +551,10 @@ def test_scan_both_searches_on_after_an_assertion_failure(monkeypatch):
     stars = [star(g154, c, v) for c in COLORS for v in range(n)]
     assert not any(s | t == full for s in stars for t in stars)
     broken = {masks[2], masks[7], masks[154]}
-    assert all(_is_residual(n, m) for m in broken)  # lanes never reach solve
+    # critical-complement colorings: they reach solve when _examine takes
+    # the whole residual
+    assert all(_is_residual(n, m) for m in broken)
+    _never_complements(monkeypatch)
 
     def failing_solve(g):
         if g.red_mask() in broken:
@@ -544,6 +573,68 @@ def test_scan_both_searches_on_after_an_assertion_failure(monkeypatch):
     for m in broken:
         expected[branch_key(real(from_red_mask(n, m)).certificate)] -= 1
     assert report.branch_counts == expected
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_scan_keeps_the_message_of_an_assertion_failure(monkeypatch, workers):
+    """The human report gives each assertion failure's message; the
+    machine report stays as it was."""
+    n, seed, samples = 10, 3, 160
+    masks = [random_red_mask(n, seed + SEED_STRIDE * i) for i in range(samples)]
+    lemma = [m for m in masks
+             if branch_key(solve(from_red_mask(n, m)).certificate)
+             .startswith("lemma")]
+    broken = {canonical_red_mask(n, m): m for m in lemma[:3]}
+    assert len(broken) == 3
+    real = lab.solve
+
+    def failing_solve(g):
+        if g.red_mask() in broken.values():
+            raise InternalInconsistencyError(f"injected at {g.red_mask():x}", g)
+        return real(g)
+
+    monkeypatch.setattr(lab, "solve", failing_solve)
+    report = scan(n, "random", "both", samples=samples, seed=seed,
+                  workers=workers)
+    names = sorted(broken)
+    assert report.assertion_failures == tuple(
+        mask_to_compact(n, c) for c in names)
+    assert report.assertion_reasons == tuple(
+        f"injected at {broken[c]:x} [coloring {mask_to_compact(n, broken[c])}]"
+        for c in names)
+    text = report.to_text()
+    for i, reason in enumerate(report.assertion_reasons):
+        assert f"failure.assertion.{i}.reason={reason}\n" in text
+    assert dataclasses.replace(report, assertion_reasons=()).machine_lines() \
+        == report.machine_lines()
+    assert not any("reason" in line for line in report.machine_lines())
+
+
+def test_scan_gives_each_failure_name_the_reason_of_its_smallest_mask(
+        monkeypatch):
+    # every n = 6 critical-complement coloring fails; isomorphic ones
+    # share a failure name
+    n = 6
+    real = lab.solve
+    _never_complements(monkeypatch)
+    masks = [m for m in range(1 << num_edges(n))
+             if branch_key(real(from_red_mask(n, m)).certificate) == COMPLEMENT]
+    smallest = {}
+    for m in masks:
+        smallest.setdefault(canonical_red_mask(n, m), m)
+    assert len(smallest) < len(masks)
+
+    def failing_solve(g):
+        cov = real(g)
+        if branch_key(cov.certificate) == COMPLEMENT:
+            raise InternalInconsistencyError(f"injected at {g.red_mask():x}", g)
+        return cov
+
+    monkeypatch.setattr(lab, "solve", failing_solve)
+    report = scan(n, workers=2)
+    assert report.assertion_reasons == tuple(
+        f"injected at {m:x} [coloring {mask_to_compact(n, m)}]"
+        for _, m in sorted(smallest.items()))
 
 
 def test_scan_workers_do_not_change_the_report():
@@ -617,7 +708,8 @@ def _returns_within(seconds):
 def _first_residual_mask_of_job(n, workers, job):
     """The lowest mask of a job's share that reaches _examine: an unpruned
     exhaustive scan walks each sub-range in index order and classifies
-    the lane colorings without it."""
+    the lane colorings without it.  At n = 6 no sub-range holds enough
+    residual colorings for the branch-4 lane pass."""
     return min(m for lo, hi in lab._split(1 << num_edges(n), workers)[job]
                for m in range(lo, hi) if _is_residual(n, m))
 
@@ -824,40 +916,63 @@ def test_failed_report_formatting():
     assert report.to_text().rstrip().endswith("result=FAILURES")
 
 
-# --- the bit-sliced branches 1-2 of scan against the per-coloring oracle
+# --- the bit-sliced branches 1, 2 and 4 of scan against the per-coloring oracle
+
+
+def _complement_parts(n, claim, lanes_of):
+    """Per lane of lanes_of, the parts (A, B) of a critical-complement claim
+    key (p, q): A = V - p, B = V - q."""
+    full = (1 << n) - 1
+    parts = {i: [full, full] for i in lanes.indices(lanes_of)}
+    for side, rows in enumerate(claim):
+        for v, x in enumerate(rows):
+            for i in lanes.indices(x & lanes_of):
+                parts[i][side] &= ~(1 << v)
+    return {i: tuple(ab) for i, ab in parts.items()}
 
 
 def _lane_outcomes(n, masks, edge_lanes):
-    """Per lane: None for a residual lane, else (key, pair, rejected, small)
-    from the lane kernel and the lane verifier; pair is None for whole-c."""
+    """Per lane: None for a branch-3 lane, else (key, detail, rejected,
+    small, wide) from the lane kernel, branch 4 included, and the lane
+    verifier; detail is None for whole-c, the pair for two-stars-c and the
+    parts (A, B) for critical-complement."""
     ones = (1 << len(masks)) - 1
     adj = lanes.adjacency(n, edge_lanes, ones)
     claims, residual = lanes.covers(n, adj, ones)
-    rejected, small = lanes.verify(n, adj, claims)
+    more, residual = lanes.complements(n, adj, residual)
+    assert len(more) <= 1
+    claims.update(more)
+    rejected, small, wide = lanes.verify(n, adj, claims)
     out = dict.fromkeys(lanes.indices(residual))
-    for (c, u), x in claims.items():
-        key = f"whole-{c}" if u is None else f"two-stars-{c}"
-        for i in lanes.indices(x):
+    for claim, x in claims.items():
+        key = lanes.census_key(claim)
+        details = (_complement_parts(n, claim, x) if key == COMPLEMENT
+                   else dict.fromkeys(lanes.indices(x), claim[1]))
+        for i, detail in details.items():
             assert i not in out
-            out[i] = (key, u, bool(rejected >> i & 1), bool(small >> i & 1))
+            out[i] = (key, detail, bool(rejected >> i & 1),
+                      bool(small >> i & 1), bool(wide >> i & 1))
     assert sorted(out) == list(range(len(masks)))
     return [out[i] for i in range(len(masks))]
 
 
 def _oracle_outcome(n, mask):
-    """What solve, verify_cover and the corollary say of one coloring, in
-    _lane_outcomes's form; the cover of a lane coloring has in-set
-    diameter <= 2 in both parts."""
+    """What solve, verify_cover, the corollary and the stage 1 of the
+    diameter-2 search say of one coloring, in _lane_outcomes's form; the
+    cover of a whole-c or two-stars-c coloring has in-set diameter <= 2
+    in both parts."""
     g = from_red_mask(n, mask)
     cov = solve(g)
     key = branch_key(cov.certificate)
-    if key not in LANE_KEYS:
+    if key not in (*LANE_KEYS, COMPLEMENT):
         return None
-    assert is_diam2_subset(g, cov.color_a, cov.a)
-    assert is_diam2_subset(g, cov.color_b, cov.b)
-    pair = cov.certificate.center1 if key.startswith("two-stars") else None
+    diam2 = (is_diam2_subset(g, cov.color_a, cov.a)
+             and is_diam2_subset(g, cov.color_b, cov.b))
+    assert diam2 or key == COMPLEMENT
+    detail = (cov.certificate.center1 if key.startswith("two-stars")
+              else (cov.a, cov.b) if key == COMPLEMENT else None)
     small = max(cov.a.bit_count(), cov.b.bit_count()) < (n + 1) // 2
-    return (key, pair, not verify_cover(g, cov), small)
+    return (key, detail, not verify_cover(g, cov), small, not diam2)
 
 
 def _assert_blocks_match_oracle(n, blocks):
@@ -876,9 +991,10 @@ def test_lane_path_matches_the_oracle_on_every_coloring(n):
     blocks = list(lab._lane_blocks(n, "exhaustive", None, [(0, total)]))
     assert [list(masks) for masks, _ in blocks] == [list(range(total))]
     keys = _assert_blocks_match_oracle(n, blocks)
-    # n = 6 is the smallest order with a residual coloring
+    # n = 6 is the smallest order with a critical-complement coloring, and
+    # no order up to 6 has a branch-3 one
     assert keys == {2: {"two-stars-2"}, 4: set(LANE_KEYS),
-                    6: {*LANE_KEYS, None}}[n]
+                    6: {*LANE_KEYS, COMPLEMENT}}[n]
     # the report: counts, first colorings and the diameter-2 tally
     counts = dict.fromkeys(lab.BRANCH_KEYS, 0)
     first = {}
@@ -906,18 +1022,28 @@ def test_lane_path_matches_the_oracle_on_n8_blocks():
     assert len(blocks) == 6
     assert [m for masks, _ in blocks for m in masks] == \
         [m for lo, hi in ranges for m in range(lo, hi)]
-    assert _assert_blocks_match_oracle(8, blocks) == {*LANE_KEYS, None}
+    assert _assert_blocks_match_oracle(8, blocks) == \
+        {*LANE_KEYS, COMPLEMENT, None}
+
+
+def _assert_random_share_matches_oracle(n, samples):
+    seed = 1000 + samples
+    blocks = list(lab._lane_blocks(n, "random", seed, [(0, samples)]))
+    assert [masks for masks, _ in blocks] == [sorted(
+        random_red_mask(n, seed + SEED_STRIDE * i) for i in range(samples))]
+    keys = _assert_blocks_match_oracle(n, blocks)
+    if samples >= 300:
+        assert keys == {*LANE_KEYS, COMPLEMENT, None}
 
 
 @pytest.mark.parametrize("samples", [1, 2, 63, 64, 65, 300])
 def test_lane_path_matches_the_oracle_on_n10_random_shares(samples):
-    seed = 1000 + samples
-    blocks = list(lab._lane_blocks(10, "random", seed, [(0, samples)]))
-    assert [masks for masks, _ in blocks] == [sorted(
-        random_red_mask(10, seed + SEED_STRIDE * i) for i in range(samples))]
-    keys = _assert_blocks_match_oracle(10, blocks)
-    if samples == 300:
-        assert keys == {*LANE_KEYS, None}
+    _assert_random_share_matches_oracle(10, samples)
+
+
+@pytest.mark.parametrize("n,samples", [(8, 500), (16, 300)])
+def test_lane_path_matches_the_oracle_on_n8_and_n16_random_shares(n, samples):
+    _assert_random_share_matches_oracle(n, samples)
 
 
 @pytest.mark.parametrize("m,count", [
@@ -945,7 +1071,7 @@ def test_lane_verifier_rejects_every_forged_cover():
     adj = lanes.adjacency(n, edge_lanes, ones)
     for c in COLORS:
         for u in (None, *range(0, n, 2)):
-            rejected, small = lanes.verify(n, adj, {(c, u): ones})
+            rejected, small, wide = lanes.verify(n, adj, {(c, u): ones})
             for i, g in enumerate(graphs):
                 a, b = ((full, 0) if u is None
                         else (star(g, c, u), star(g, c, u + 1)))
@@ -954,6 +1080,112 @@ def test_lane_verifier_rejects_every_forged_cover():
                 too_small = max(a.bit_count(), b.bit_count()) < n // 2
                 assert bool(small >> i & 1) == too_small
             assert 0 < rejected.bit_count() < len(masks)
+            assert wide == 0
+
+
+def _forgeries(n, p, q, found):
+    """Critical-complement claims the kernel never makes, each in every lane
+    of found at once: one vertex moved into or out of A, or into or out of
+    B, two vertices moved into A or into B together, and both parts cut
+    short.  Moving v out of B where it is out of A leaves it uncovered;
+    moving both ends of a critical edge into its part breaks the part."""
+    for v in range(n):
+        for side in (0, 1):
+            rows = [list(p), list(q)]
+            rows[side][v] ^= found
+            yield tuple(rows[0]), tuple(rows[1])
+    for u, w in itertools.combinations(range(n), 2):
+        for side in (0, 1):
+            rows = [list(p), list(q)]
+            rows[side][u] = rows[side][w] = 0
+            yield tuple(rows[0]), tuple(rows[1])
+    # both parts cut to n/2 and to n/2 - 1 vertices
+    for k in (n // 2, n // 2 + 1):
+        cut = (found,) * k
+        yield cut + p[k:], cut + q[k:]
+
+
+@pytest.mark.parametrize("n,samples,seed", [(8, 400, 81), (10, 200, 82)])
+def test_lane_verifier_rejects_every_forged_complement(n, samples, seed):
+    """The verifier rejects a forged critical-complement lane exactly when
+    check_cover rejects its cover, flags it small exactly when neither part
+    has n/2 vertices, and wide exactly when a part fails is_diam2_subset."""
+    (masks, edge_lanes), = lab._lane_blocks(n, "random", seed, [(0, samples)])
+    graphs = [from_red_mask(n, mask) for mask in masks]
+    ones = (1 << len(masks)) - 1
+    adj = lanes.adjacency(n, edge_lanes, ones)
+    claims, residual = lanes.covers(n, adj, ones)
+    ((p, q), found), = lanes.complements(n, adj, residual)[0].items()
+    assert lanes.verify(n, adj, {(p, q): found})[0] == 0
+    outcomes = set()
+    for claim in _forgeries(n, p, q, found):
+        rejected, small, wide = lanes.verify(n, adj, {claim: found})
+        assert not (rejected | small | wide) & ~found
+        for i, (a, b) in _complement_parts(n, claim, found).items():
+            g = graphs[i]
+            reason = check_cover(g, Cover(n, a, RED, b, BLUE))
+            assert bool(rejected >> i & 1) == (reason is not None)
+            too_small = max(a.bit_count(), b.bit_count()) < n // 2
+            assert bool(small >> i & 1) == too_small
+            diam2 = is_diam2_subset(g, RED, a) and is_diam2_subset(g, BLUE, b)
+            assert bool(wide >> i & 1) == (not diam2)
+            outcomes.add(reason)
+    # an uncovered vertex, a critical edge inside a part, and one end of a
+    # critical edge moved into its part alone, which is no error
+    assert {"not a cover", "A not 2-reachable", "B not 2-reachable",
+            None} <= outcomes
+
+
+def test_scan_searches_alone_the_lanes_that_fail_the_lane_stage1(monkeypatch):
+    """_diam2_cover runs with solve's cover for the branch-3 colorings and
+    without one for the critical-complement lanes whose cover is not
+    diameter-2; every other lane is settled by the lane pass."""
+    n, samples, seed = 10, 300, 2
+    masks = [random_red_mask(n, seed + SEED_STRIDE * i) for i in range(samples)]
+    expected = []
+    for m in masks:
+        g = from_red_mask(n, m)
+        cov = solve(g)
+        key = branch_key(cov.certificate)
+        if key == COMPLEMENT:
+            if not (is_diam2_subset(g, RED, cov.a)
+                    and is_diam2_subset(g, BLUE, cov.b)):
+                expected.append((m, False))
+        elif key not in LANE_KEYS:
+            expected.append((m, True))
+    calls = []
+    real = lab._diam2_cover
+
+    def counting(g, cov):
+        calls.append((g.red_mask(), cov is not None))
+        return real(g, cov)
+
+    monkeypatch.setattr(lab, "_diam2_cover", counting)
+    report = scan(n, "random", "both", samples=samples, seed=seed)
+    assert sorted(calls) == sorted(expected)
+    assert {with_cov for _, with_cov in expected} == {False, True}
+    assert report.machine_text() == \
+        (FIXTURES / "scan_n10_random_both.txt").read_text()
+
+
+def test_sparse_residual_block_tallies_the_same_by_either_route(monkeypatch):
+    """An n = 32 block has a few residual lanes, too few for the branch-4
+    lane pass; forced through it, they tally the same."""
+    n = 32
+    (masks, edge_lanes), = lab._lane_blocks(n, "random", 9, [(0, 2000)])
+    keys = [branch_key(solve(from_red_mask(n, m)).certificate) for m in masks]
+    residual = [k for k in keys if k not in LANE_KEYS]
+    assert COMPLEMENT in residual
+    assert not lab._complements_pay(n, len(residual))
+
+    def tally(min_residual):
+        monkeypatch.setattr(lab, "_COMPLEMENT_MIN_RESIDUAL", min_residual)
+        part = lab._Partial()
+        lab._tally_lanes(n, "reach", masks, edge_lanes, part)
+        return part
+
+    assert tally(lab._COMPLEMENT_MIN_RESIDUAL) == tally(0)
+    assert tally(0).counts[COMPLEMENT] == keys.count(COMPLEMENT)
 
 
 def test_scan_counts_lanes_the_verifier_rejects_as_reach_failures(monkeypatch):
@@ -1008,6 +1240,17 @@ def test_scan_random_blocks_of_any_size_match_the_golden(monkeypatch, block):
     # a share drawn in several sorted blocks: first.<key> is the least
     # lowest lane over the blocks
     monkeypatch.setattr(lab, "_RANDOM_LANES", block)
+    report = scan(10, mode="random", check="both", samples=300, seed=2)
+    assert report.machine_text() == \
+        (FIXTURES / "scan_n10_random_both.txt").read_text()
+
+
+@pytest.mark.parametrize("block", [1, 7, 64, 65])
+def test_scan_lane_pass_on_every_block_matches_the_golden(monkeypatch, block):
+    # the same with the branch-4 lane pass on every block, however sparse
+    # its residual: first.critical-complement is the least lowest lane
+    monkeypatch.setattr(lab, "_RANDOM_LANES", block)
+    monkeypatch.setattr(lab, "_COMPLEMENT_MIN_RESIDUAL", 0)
     report = scan(10, mode="random", check="both", samples=300, seed=2)
     assert report.machine_text() == \
         (FIXTURES / "scan_n10_random_both.txt").read_text()
