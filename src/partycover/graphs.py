@@ -232,6 +232,7 @@ def _red_mask_plan(n: int) -> tuple[tuple[tuple[int, int, int], ...],
             tuple(full ^ (3 << (u & ~1)) for u in range(n)), limit)
 
 
+@lru_cache(maxsize=EDGE_CACHE_SIZE)
 def _block_swap_steps(size: int, width: int) -> tuple[tuple[int, int], ...]:
     """(shift, swap) steps transposing every size x size tile of a bit
     matrix held in one int, row r at bit r * width, size rows high.
@@ -241,6 +242,9 @@ def _block_swap_steps(size: int, width: int) -> tuple[tuple[int, int], ...]:
     one: bit (r, c) with r & j == 0 and c & j != 0 moves to (r + j, c - j),
     j * (width - 1) higher, and back.  Apply each step as
     ``t = ((x >> shift) ^ x) & swap; x ^= t ^ (t << shift)``.
+
+    The log2(size) masks of size x width bits are cached, so the
+    _red_mask_plan of every n with one W shares a single copy.
     """
     steps = []
     j = size >> 1

@@ -1,4 +1,4 @@
-"""solve's branches 1, 2 and 4 bit-sliced over a block of colorings.
+"""solve's four branches bit-sliced over a block of colorings.
 
 Lane i of every int here stands for coloring i of a block (Biham, *A
 fast new DES implementation in software*, FSE 1997): an edge's lane int
@@ -6,20 +6,25 @@ has bit i set when coloring i colors that edge red.  ``covers`` settles
 branch 1 (one color has diameter <= 2 on V) and branch 2 (a partner
 pair is critical in one color) for every lane at once, ``complements``
 settles branch 4 (the critical edges of the two colors have disjoint
-ends) on the lanes left, and ``verify`` re-derives each cover they
-claim from the edge lanes.  lab.scan sends the lanes of branch 3 through
-solve one coloring at a time.
+ends) on the lanes left, ``lemmas`` branch 3 (a red-critical and a
+blue-critical edge share a vertex) on the lanes left after that, and
+``verify`` re-derives each cover they claim from the edge lanes.  The
+lanes where branch 3 would raise InternalInconsistencyError are left to
+solve.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, reduce
+from operator import or_
 
 from .graphs import BLUE, COLORS, RED, _block_swap_steps, edge_list, flip
 
 #: Claimed covers: each key maps to the lanes it covers.  (c, None) is
-#: whole-c, (c, u) two-stars-c at the partner pair (u, u + 1), and (p, q)
-#: critical-complement, with p and q tuples of one lane int per vertex.
+#: whole-c, (c, u) two-stars-c at the partner pair (u, u + 1), (p, q)
+#: critical-complement, with p and q tuples of one lane int per vertex,
+#: and (key, color_a, a, color_b, b) a lemma-* cover: a and b are one-hot
+#: star centers, or under lemma-c5plus the parts' members, per vertex.
 Claims = dict[tuple, int]
 
 
@@ -132,26 +137,29 @@ def covers(n: int, adj: dict[int, list[list[int]]],
 
 
 def complements(n: int, adj: dict[int, list[list[int]]],
-                residual: int) -> tuple[Claims, int]:
-    """solve's branch 4 on the residual lanes of covers: (claims, left).
+                residual: int) -> tuple[Claims, int, tuple[list[int], ...]]:
+    """solve's branch 4 on the residual lanes of covers: (claims, left, far).
 
     A residual lane has no far partner pair, so its c-far pairs are the
-    c-critical edges, and their ends are its far-pair ends.  p[v] holds the
-    lanes where v ends a red-critical edge, q[v] the same for blue.  The
-    lanes where no vertex is in both get the one claim keyed (p, q), both
-    cut to those lanes: their cover is A = V - p in red and B = V - q in
-    blue.  left holds the other lanes, whose critical edges share an end
-    (branch 3).
+    c-critical edges, and their ends are its far-pair ends.  far holds, per
+    color, the lanes where each edge (edge_list order) is far.  p[v] holds
+    the lanes where v ends a red-critical edge, q[v] the same for blue.
+    The lanes where no vertex is in both get the one claim keyed (p, q),
+    both cut to those lanes: their cover is A = V - p in red and B = V - q
+    in blue.  left holds the other lanes, whose critical edges share an end
+    (branch 3, see lemmas).
     """
+    edges = edge_list(n)
+    far = ([], [])
     ends = []
-    for c in COLORS:
+    for c, far_c in zip(COLORS, far):
         table, row = adj[c], [0] * n
-        for u, v in edge_list(n):
+        for u, v in edges:
             need = residual & ~table[u][v]
-            if need:
-                far = _far(table[u], table[v], need)
-                row[u] |= far
-                row[v] |= far
+            x = _far(table[u], table[v], need) if need else 0
+            far_c.append(x)
+            row[u] |= x
+            row[v] |= x
         ends.append(row)
     p, q = ends
     meet = 0
@@ -159,13 +167,119 @@ def complements(n: int, adj: dict[int, list[list[int]]],
         meet |= x & y
     found = residual & ~meet
     if not found:
-        return {}, residual
+        return {}, residual, far
     return ({(tuple(x & found for x in p), tuple(y & found for y in q)): found},
-            residual & meet)
+            residual & meet, far)
+
+
+def lemmas(n: int, adj: dict[int, list[list[int]]],
+           far: tuple[list[int], ...], left: int) -> tuple[Claims, int]:
+    """solve's branch 3 on the lanes complements leaves: (claims, failed).
+
+    far is complements' per-edge far lanes.  In each lane e is the first
+    red-critical edge (edge_list order) with an end on a blue-critical
+    edge, f the first blue-critical edge through an end of e, x their
+    shared end, y the other end of e and q the other end of f, as in
+    solve.  xs[v] and ys[v] hold the lanes where x = v and y = v; the rows
+    of x, y, x' and y' come from them, and from those the sets and the case
+    split of cover._shared_vertex_cover, each a lane int per vertex.
+    failed holds the lanes where one of its InternalInconsistencyError
+    conditions holds; they make no claim.  A star case is claimed as
+    (key, color_a, centers_a, color_b, centers_b) with one-hot centers,
+    lemma-c5plus as (key, BLUE, A, RED, B) with each part's members.
+    """
+    if not left:
+        return {}, 0
+    edges = edge_list(n)
+    red_far, blue_far = far
+    q_ends = [0] * n
+    for (u, v), x in zip(edges, blue_far):
+        q_ends[u] |= x
+        q_ends[v] |= x
+    e_ends = _first_edge_ends(edges, red_far, q_ends, left)
+    f_ends = _first_edge_ends(edges, blue_far, e_ends, left)
+    xs = [e & f for e, f in zip(e_ends, f_ends)]
+    ys = [e & ~f for e, f in zip(e_ends, f_ends)]
+    xps = [xs[v ^ 1] for v in range(n)]
+    yps = [ys[v ^ 1] for v in range(n)]
+    # f must end at y': q = v with y = v ^ 1
+    bad = ~reduce(or_, [f & ~e & yp for e, f, yp in zip(e_ends, f_ends, yps)])
+    red, blue = adj[RED], adj[BLUE]
+    blue_x, red_x, blue_y = (_neighbors(blue, xs), _neighbors(red, xs),
+                             _neighbors(blue, ys))
+    red_xp, blue_xp, red_yp = (_neighbors(red, xps), _neighbors(blue, xps),
+                               _neighbors(red, yps))
+    x_set = [b & ~y for b, y in zip(blue_x, ys)]
+    y_set = [b & ~(bx | x | xp)
+             for b, bx, x, xp in zip(blue_y, blue_x, xs, xps)]
+    # red(x) = Y + {y'} and X lies in red(y').  solve first checks that x,
+    # x', y, y', X and Y partition V, which follows from red(x) = Y + {y'}.
+    for rx, sx, sy, yp, ryp in zip(red_x, x_set, y_set, yps, red_yp):
+        bad |= rx ^ (sy | yp) | sx & ~ryp
+    ok = left & ~bad
+    case_i = ok & reduce(or_, [y & b for y, b in zip(ys, blue_xp)])
+    case_ii = ok & ~case_i & reduce(or_, [yp & r
+                                          for yp, r in zip(yps, red_xp)])
+    x1 = [s & r for s, r in zip(x_set, red_xp)]
+    x2 = [s & b for s, b in zip(x_set, blue_xp)]
+    y1 = [s & r for s, r in zip(y_set, red_xp)]
+    y2 = [s & b for s, b in zip(y_set, blue_xp)]
+    rest = ok & ~(case_i | case_ii)
+    # x and x' have the common red neighbors y1 and the blue ones x2
+    common = reduce(or_, y1) & reduce(or_, x2)
+    bad |= rest & ~common
+    rest &= common
+    case_iii = rest & ~reduce(or_, x1)
+    rest &= ~case_iii
+    case_vi = rest & ~reduce(or_, y2)
+    c5plus = rest & ~case_vi
+    # the two 5-part blowups: x, y, Y2, x', X2 in blue, x, y', X1, x', Y1 in red
+    part_a = [x | y | xp | s | t for x, y, xp, s, t in zip(xs, ys, xps, y2, x2)]
+    part_b = [x | y | xp | s | t for x, y, xp, s, t in zip(xs, yps, xps, x1, y1)]
+    claims: Claims = {}
+    for key, found, color_a, a, color_b, b in (
+            ("lemma-i", case_i, RED, yps, BLUE, ys),
+            ("lemma-ii", case_ii, RED, yps, BLUE, ys),
+            ("lemma-iii", case_iii, BLUE, xps, BLUE, ys),
+            ("lemma-vi", case_vi, RED, xps, RED, yps),
+            ("lemma-c5plus", c5plus, BLUE, part_a, RED, part_b)):
+        if found:
+            claims[key, color_a, tuple(v & found for v in a),
+                   color_b, tuple(v & found for v in b)] = found
+    return claims, left & bad
+
+
+def _first_edge_ends(edges: tuple[tuple[int, int], ...], far: list[int],
+                     meets: list[int], lanes: int) -> list[int]:
+    """Per vertex, the lanes of lanes whose first far edge (edge_list
+    order) with an end in meets ends at it; meets[v] holds the lanes where
+    v is in the set."""
+    ends = [0] * len(meets)
+    for (u, v), x in zip(edges, far):
+        hit = x & lanes & (meets[u] | meets[v])
+        if hit:
+            ends[u] |= hit
+            ends[v] |= hit
+            lanes &= ~hit
+            if not lanes:
+                break
+    return ends
+
+
+def _neighbors(table: list[list[int]], hot: list[int]) -> list[int]:
+    """Per vertex w, the lanes where w is a table-neighbor of the vertex
+    that the one-hot hot (a lane int per vertex) picks in each lane."""
+    row = [0] * len(table)
+    for h, neighbors in zip(hot, table):
+        if h:
+            row = [r | h & x for r, x in zip(row, neighbors)]
+    return row
 
 
 def census_key(claim: tuple) -> str:
     """solve's census key of the lanes under a claim key."""
+    if isinstance(claim[0], str):
+        return claim[0]
     if isinstance(claim[0], tuple):
         return "critical-complement"
     c, u = claim
@@ -179,34 +293,27 @@ def verify(n: int, adj: dict[int, list[list[int]]],
 
     A whole-c lane needs V 2-reachable in c: each pair an edge or with a
     common neighbor.  A critical-complement lane (p, q) needs the same of
-    A = V - p in red and of B = V - q in blue, and A and B to cover V.  A
-    two-stars lane needs the pair's two closed stars to cover V.  It does
-    not re-test the criticality that solve's branches test.  small holds
-    the lanes where neither part has n/2 vertices, from a lane-wise count
-    of each part.  wide holds the critical-complement lanes where a part
+    A = V - p in red and of B = V - q in blue, and a lemma-c5plus lane of
+    its two parts in their colors; both need A and B to cover V.  A
+    two-stars lane needs the pair's two closed stars to cover V, and a
+    lemma star lane the closed stars of its two claimed centers, each
+    re-derived here from its center.  It does not re-test the criticality
+    or the case conditions that solve tests.  small holds the lanes where
+    neither part has n/2 vertices, from a lane-wise count of each part.
+    wide holds the critical-complement and lemma-c5plus lanes where a part
     has a pair with no edge and no middle inside the part: the stage 1 of
     the diameter-2 search, which V and a closed star always pass.
     """
     rejected = small = wide = 0
     half = n // 2
     for claim, lanes in claims.items():
-        if isinstance(claim[0], tuple):
-            p, q = claim
-            a = [lanes & ~x for x in p]
-            b = [lanes & ~y for y in q]
-            for x, y in zip(a, b):
-                rejected |= lanes & ~(x | y)
-            for color, members in ((RED, a), (BLUE, b)):
-                far, out = _unreached(adj[color], members, in_set=True)
-                rejected |= far
-                wide |= out
-            small |= lanes & ~(_at_least(a, half) | _at_least(b, half))
+        key = census_key(claim)
+        if key.startswith("whole"):
+            # the same check as for a part below, with every vertex a member
+            rejected |= _unreached(adj[claim[0]], [lanes] * n)[0]
             continue
-        c, u = claim
-        if u is None:
-            # the same check with every vertex a member
-            rejected |= _unreached(adj[c], [lanes] * n)[0]
-        else:
+        if key.startswith("two-stars"):
+            c, u = claim
             star_u, star_v = adj[c][u], adj[c][u + 1]
             for w in range(n):
                 if w >> 1 != u >> 1:
@@ -214,6 +321,34 @@ def verify(n: int, adj: dict[int, list[list[int]]],
             # a closed star of n/2 vertices: its center and n/2 - 1 neighbors
             small |= lanes & ~(_at_least(star_u, half - 1)
                                | _at_least(star_v, half - 1))
+            continue
+        if key == "critical-complement":
+            p, q = claim
+            colors = (RED, BLUE)
+            a, b = [lanes & ~x for x in p], [lanes & ~y for y in q]
+        else:
+            _, color_a, a, color_b, b = claim
+            colors = (color_a, color_b)
+            a, b = [lanes & x for x in a], [lanes & x for x in b]
+        if key in ("critical-complement", "lemma-c5plus"):
+            for color, members in zip(colors, (a, b)):
+                far, out = _unreached(adj[color], members, in_set=True)
+                rejected |= far
+                wide |= out
+        else:
+            # a and b are one-hot centers: each part is its center's closed
+            # star, which is within 2 through the center
+            stars = []
+            for color, center in zip(colors, (a, b)):
+                members = center
+                for h, row in zip(center, adj[color]):
+                    if h:
+                        members = [m | h & x for m, x in zip(members, row)]
+                stars.append(members)
+            a, b = stars
+        for x, y in zip(a, b):
+            rejected |= lanes & ~(x | y)
+        small |= lanes & ~(_at_least(a, half) | _at_least(b, half))
     return rejected, small, wide
 
 

@@ -1,6 +1,8 @@
 """Graph core: construction invariants, enumeration, serialization."""
 
 import random
+import sys
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -33,6 +35,7 @@ from partycover.graphs import (
     to_compact,
     vertex_list,
     vertex_mask,
+    _block_swap_steps,
     _red_mask_plan,
 )
 from partycover.lab import scan, symmetry_classes, symmetry_group_order
@@ -358,6 +361,24 @@ def test_edge_table_caches_are_bounded():
         for n in range(2, 2 * bound + 6, 2):
             cached(n)
         assert cached.cache_info().currsize == bound
+
+
+def test_red_mask_plans_of_one_width_share_their_block_swaps():
+    """n = 514, 516 and 518 all pack rows W = 1024 bits apart: the later
+    plans add their own runs and rows, not another copy of the W x W
+    block-swap masks (about 1.26 MB)."""
+    _red_mask_plan.cache_clear()
+    _block_swap_steps.cache_clear()
+    first = _red_mask_plan(514)
+    swaps = sum(sys.getsizeof(swap) for _, swap in first[1])
+    tracemalloc.start()
+    try:
+        rest = [_red_mask_plan(n) for n in (516, 518)]
+        grown = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert all(plan[1] is first[1] for plan in rest)
+    assert grown < swaps / 2
 
 
 @st.composite

@@ -2,9 +2,11 @@
 
 import contextlib
 import dataclasses
+import functools
 import hashlib
 import itertools
 import multiprocessing
+import operator
 import os
 import pathlib
 import random
@@ -20,6 +22,8 @@ from partycover import lab, lanes
 from partycover.cover import (
     Cover,
     InternalInconsistencyError,
+    _first_far_edge,
+    _shared_vertex_cover,
     branch_key,
     check_cover,
     solve,
@@ -33,6 +37,7 @@ from partycover.graphs import (
     ColoredCocktail,
     all_blue,
     all_red,
+    edge_list,
     enumerate_colorings,
     from_compact,
     from_red_mask,
@@ -425,17 +430,22 @@ def _failing_masks(n, samples, seed):
 
 
 #: Census keys of the colorings scan classifies a lane block at a time;
-#: a block's critical-complement colorings join them when its residual
-#: pays for the branch-4 lane pass (lab._complements_pay).
+#: a block's critical-complement and lemma-* colorings join them when its
+#: residual pays for the lane passes of branches 4 and 3
+#: (lab._complements_pay).
 LANE_KEYS = ("whole-1", "whole-2", "two-stars-1", "two-stars-2")
 COMPLEMENT = "critical-complement"
+#: The lemma-* keys that fire; lemma-iv and lemma-v never do.
+LEMMA_KEYS = ("lemma-i", "lemma-ii", "lemma-iii", "lemma-vi", "lemma-c5plus")
 
 
-def _is_residual(n, mask, complements=False):
+def _is_residual(n, mask, passes=False):
     """Does scan hand this coloring to the per-coloring path, in a block
-    whose residual goes through the branch-4 lane pass or not?"""
+    whose residual goes through the lane passes of branches 4 and 3 or
+    not?  With the passes only a coloring whose branch 3 fails an internal
+    assertion does, and solve covers every coloring here."""
     key = branch_key(lab.solve(from_red_mask(n, mask)).certificate)
-    return key not in LANE_KEYS and not (complements and key == COMPLEMENT)
+    return key not in LANE_KEYS and not passes
 
 
 def _never_complements(monkeypatch):
@@ -504,8 +514,9 @@ def _assert_scan_solves_each_residual_coloring_once(monkeypatch, samples):
         return real(g)
 
     # lane colorings never reach solve; each residual one reaches it once.
-    # The 20-coloring block is too sparse for the branch-4 lane pass, so its
-    # critical-complement colorings reach solve too; the 300 one is not.
+    # The 20-coloring block is too sparse for the lane passes of branches 4
+    # and 3, so its critical-complement and lemma-* colorings reach solve
+    # too; the 300 one is not, and none of its colorings reaches solve.
     masks = [random_red_mask(10, 3 + SEED_STRIDE * i) for i in range(samples)]
     pays = lab._complements_pay(10, sum(_is_residual(10, m) for m in masks))
     assert pays == (samples == 300)
@@ -513,7 +524,7 @@ def _assert_scan_solves_each_residual_coloring_once(monkeypatch, samples):
     monkeypatch.setattr(lab, "solve", counting_solve)
     scan(10, "random", "both", samples=samples, seed=3)
     assert sorted(calls) == residual
-    assert 0 < len(residual) < samples / 2
+    assert residual == [] if pays else 0 < len(residual) < samples / 2
 
 
 def test_scan_both_solves_each_coloring_once(monkeypatch):
@@ -586,6 +597,8 @@ def test_scan_keeps_the_message_of_an_assertion_failure(monkeypatch, workers):
              .startswith("lemma")]
     broken = {canonical_red_mask(n, m): m for m in lemma[:3]}
     assert len(broken) == 3
+    # lemma-* colorings reach solve when _examine takes the whole residual
+    _never_complements(monkeypatch)
     real = lab.solve
 
     def failing_solve(g):
@@ -786,7 +799,9 @@ def test_scan_worker_that_dies_is_reported_with_its_exit_code(monkeypatch):
 
 def test_scan_receives_a_large_tally_before_joining(monkeypatch):
     # the worker's tally is far larger than a pipe buffer, so it blocks in
-    # send until the caller reads: joining it first would never return
+    # send until the caller reads: joining it first would never return.
+    # The worker's residual colorings all go to _examine.
+    _never_complements(monkeypatch)
     caller = os.getpid()
     extra = range(1 << 40, (1 << 40) + 20_000)
     real = lab._examine
@@ -916,7 +931,7 @@ def test_failed_report_formatting():
     assert report.to_text().rstrip().endswith("result=FAILURES")
 
 
-# --- the bit-sliced branches 1, 2 and 4 of scan against the per-coloring oracle
+# --- the bit-sliced branches of scan against the per-coloring oracle
 
 
 def _complement_parts(n, claim, lanes_of):
@@ -931,22 +946,43 @@ def _complement_parts(n, claim, lanes_of):
     return {i: tuple(ab) for i, ab in parts.items()}
 
 
+def _lemma_parts(n, claim, lanes_of):
+    """Per lane of lanes_of, (color_a, a, color_b, b) of a lemma-* claim
+    key: a and b are the star centers, or the parts under lemma-c5plus."""
+    key, color_a, a, color_b, b = claim
+
+    def picked(rows, i):
+        members = [v for v, x in enumerate(rows) if x >> i & 1]
+        if key == "lemma-c5plus":
+            return sum(1 << v for v in members)
+        center, = members
+        return center
+
+    return {i: (color_a, picked(a, i), color_b, picked(b, i))
+            for i in lanes.indices(lanes_of)}
+
+
 def _lane_outcomes(n, masks, edge_lanes):
-    """Per lane: None for a branch-3 lane, else (key, detail, rejected,
-    small, wide) from the lane kernel, branch 4 included, and the lane
-    verifier; detail is None for whole-c, the pair for two-stars-c and the
-    parts (A, B) for critical-complement."""
+    """Per lane: None for a lane that fails a branch-3 assertion, else
+    (key, detail, rejected, small, wide) from the lane kernel, branches 4
+    and 3 included, and the lane verifier; detail is None for whole-c, the
+    pair for two-stars-c, the parts (A, B) for critical-complement and
+    _lemma_parts's colors and centers or parts for lemma-*."""
     ones = (1 << len(masks)) - 1
     adj = lanes.adjacency(n, edge_lanes, ones)
     claims, residual = lanes.covers(n, adj, ones)
-    more, residual = lanes.complements(n, adj, residual)
+    more, left, far = lanes.complements(n, adj, residual)
     assert len(more) <= 1
     claims.update(more)
+    more, failed = lanes.lemmas(n, adj, far, left)
+    assert not set(more) & set(claims)
+    claims.update(more)
     rejected, small, wide = lanes.verify(n, adj, claims)
-    out = dict.fromkeys(lanes.indices(residual))
+    out = dict.fromkeys(lanes.indices(failed))
     for claim, x in claims.items():
         key = lanes.census_key(claim)
         details = (_complement_parts(n, claim, x) if key == COMPLEMENT
+                   else _lemma_parts(n, claim, x) if key in LEMMA_KEYS
                    else dict.fromkeys(lanes.indices(x), claim[1]))
         for i, detail in details.items():
             assert i not in out
@@ -958,30 +994,49 @@ def _lane_outcomes(n, masks, edge_lanes):
 
 def _oracle_outcome(n, mask):
     """What solve, verify_cover, the corollary and the stage 1 of the
-    diameter-2 search say of one coloring, in _lane_outcomes's form; the
-    cover of a whole-c or two-stars-c coloring has in-set diameter <= 2
-    in both parts."""
+    diameter-2 search say of one coloring, in _lane_outcomes's form; a
+    cover of closed stars or of V, and a lemma-c5plus cover, has in-set
+    diameter <= 2 in both parts."""
     g = from_red_mask(n, mask)
-    cov = solve(g)
-    key = branch_key(cov.certificate)
-    if key not in (*LANE_KEYS, COMPLEMENT):
+    try:
+        cov = solve(g)
+    except InternalInconsistencyError:
         return None
+    cert = cov.certificate
+    key = branch_key(cert)
     diam2 = (is_diam2_subset(g, cov.color_a, cov.a)
              and is_diam2_subset(g, cov.color_b, cov.b))
     assert diam2 or key == COMPLEMENT
-    detail = (cov.certificate.center1 if key.startswith("two-stars")
-              else (cov.a, cov.b) if key == COMPLEMENT else None)
+    detail = (cert.center1 if key.startswith("two-stars")
+              else (cov.a, cov.b) if key == COMPLEMENT
+              else (cov.color_a, cov.a, cov.color_b, cov.b)
+              if key == "lemma-c5plus"
+              else (cert.color_a, cert.center_a, cert.color_b, cert.center_b)
+              if key in LEMMA_KEYS else None)
     small = max(cov.a.bit_count(), cov.b.bit_count()) < (n + 1) // 2
     return (key, detail, not verify_cover(g, cov), small, not diam2)
 
 
 def _assert_blocks_match_oracle(n, blocks):
+    """Each lane's outcome, and each block's tally of counts and first
+    masks, forced through the lane passes, against the oracle."""
     keys = set()
     for masks, edge_lanes in blocks:
         assert len(edge_lanes) == num_edges(n)
+        counts = dict.fromkeys(lab.BRANCH_KEYS, 0)
+        first = {}
         for mask, got in zip(masks, _lane_outcomes(n, masks, edge_lanes)):
             assert got == _oracle_outcome(n, mask), (n, mask)
             keys.add(got and got[0])
+            if got is not None:
+                counts[got[0]] += 1
+                first[got[0]] = min(first.get(got[0], mask), mask)
+        part = lab._Partial()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(lab, "_COMPLEMENT_MIN_RESIDUAL", 0)
+            lab._tally_lanes(n, "reach", masks, edge_lanes, part)
+        assert {k: part.counts[k] for k in lab.BRANCH_KEYS} == counts
+        assert part.first == first
     return keys
 
 
@@ -1022,8 +1077,8 @@ def test_lane_path_matches_the_oracle_on_n8_blocks():
     assert len(blocks) == 6
     assert [m for masks, _ in blocks for m in masks] == \
         [m for lo, hi in ranges for m in range(lo, hi)]
-    assert _assert_blocks_match_oracle(8, blocks) == \
-        {*LANE_KEYS, COMPLEMENT, None}
+    keys = _assert_blocks_match_oracle(8, blocks)
+    assert {*LANE_KEYS, COMPLEMENT} < keys <= {*LANE_KEYS, COMPLEMENT, *LEMMA_KEYS}
 
 
 def _assert_random_share_matches_oracle(n, samples):
@@ -1032,8 +1087,11 @@ def _assert_random_share_matches_oracle(n, samples):
     assert [masks for masks, _ in blocks] == [sorted(
         random_red_mask(n, seed + SEED_STRIDE * i) for i in range(samples))]
     keys = _assert_blocks_match_oracle(n, blocks)
+    every = {*LANE_KEYS, COMPLEMENT, *LEMMA_KEYS}
     if samples >= 300:
-        assert keys == {*LANE_KEYS, COMPLEMENT, None}
+        assert {*LANE_KEYS, COMPLEMENT} < keys <= every
+    if samples >= 4000:
+        assert keys == every
 
 
 @pytest.mark.parametrize("samples", [1, 2, 63, 64, 65, 300])
@@ -1041,7 +1099,7 @@ def test_lane_path_matches_the_oracle_on_n10_random_shares(samples):
     _assert_random_share_matches_oracle(10, samples)
 
 
-@pytest.mark.parametrize("n,samples", [(8, 500), (16, 300)])
+@pytest.mark.parametrize("n,samples", [(8, 500), (16, 300), (8, 4000)])
 def test_lane_path_matches_the_oracle_on_n8_and_n16_random_shares(n, samples):
     _assert_random_share_matches_oracle(n, samples)
 
@@ -1136,10 +1194,170 @@ def test_lane_verifier_rejects_every_forged_complement(n, samples, seed):
             None} <= outcomes
 
 
+@pytest.mark.parametrize("n,samples,seed", [(8, 3000, 85), (10, 2000, 86)])
+def test_lemmas_match_the_case_analysis_on_forged_far_edges(n, samples, seed):
+    """lanes.lemmas on far edges forged by flipping sparse random lanes, on
+    every lane where the forged ends of the two colors meet, against the
+    case analysis of cover._shared_vertex_cover on the edges solve would
+    pick from the same far edges: the same lanes fail, with every one of
+    its assertions firing somewhere, and the others get the same claim."""
+    (masks, edge_lanes), = lab._lane_blocks(n, "random", seed, [(0, samples)])
+    ones = (1 << len(masks)) - 1
+    adj = lanes.adjacency(n, edge_lanes, ones)
+    far = lanes.complements(n, adj, ones)[2]
+    rng = random.Random(seed)
+
+    def sparse():
+        return (rng.getrandbits(len(masks)) & rng.getrandbits(len(masks))
+                & rng.getrandbits(len(masks)) & rng.getrandbits(len(masks)))
+
+    forged = [[x ^ sparse() for x in rows] for rows in far]
+    ends = [[0] * n, [0] * n]
+    for (u, v), *xs in zip(edge_list(n), *forged):
+        for row, x in zip(ends, xs):
+            row[u] |= x
+            row[v] |= x
+    meet = 0
+    for x, y in zip(*ends):
+        meet |= x & y
+    claims, failed = lanes.lemmas(n, adj, forged, meet)
+    got = dict.fromkeys(lanes.indices(failed))
+    for claim, x in claims.items():
+        got.update({i: (claim[0], detail)
+                    for i, detail in _lemma_parts(n, claim, x).items()})
+    assert sorted(got) == lanes.indices(meet)
+    seen = set()
+    for i in lanes.indices(meet):
+        rows = [[0] * n, [0] * n]
+        for (u, v), *xs in zip(edge_list(n), *forged):
+            for row, x in zip(rows, xs):
+                if x >> i & 1:
+                    row[u] |= 1 << v
+                    row[v] |= 1 << u
+        e = _first_far_edge(rows[0], functools.reduce(operator.or_, rows[1]))
+        f = _first_far_edge(rows[1], 1 << e[0] | 1 << e[1])
+        g = from_red_mask(n, masks[i])
+        try:
+            cov = _shared_vertex_cover(g, e, f)
+        except InternalInconsistencyError as exc:
+            assert got[i] is None
+            seen.add(str(exc).split(" [")[0])
+            continue
+        cert = cov.certificate
+        assert got[i] == (cert.key, (
+            (cov.color_a, cov.a, cov.color_b, cov.b) if cert.key == "lemma-c5plus"
+            else (cert.color_a, cert.center_a, cert.color_b, cert.center_b)))
+        seen.add(cert.key)
+    assert len(seen) == 5 + len(LEMMA_KEYS)
+
+
+def _lemma_forgeries(n, claim, found):
+    """Lemma claims the kernel never makes, each in every lane of found at
+    once: under lemma-c5plus one vertex moved into or out of either part,
+    under a star case either center moved to any vertex."""
+    key, color_a, a, color_b, b = claim
+    for side in (0, 1):
+        for v in range(n):
+            rows = [list(a), list(b)]
+            if key == "lemma-c5plus":
+                rows[side][v] ^= found
+            else:
+                rows[side] = [found if w == v else 0 for w in range(n)]
+            yield key, color_a, tuple(rows[0]), color_b, tuple(rows[1])
+
+
+@pytest.mark.parametrize("n,samples,seed", [(8, 2000, 83), (10, 1000, 84)])
+def test_lane_verifier_rejects_every_forged_lemma_claim(n, samples, seed):
+    """The verifier rejects a forged lemma-* lane exactly when check_cover
+    rejects its cover, flags it small exactly when neither part has n/2
+    vertices, and wide exactly when a part fails is_diam2_subset."""
+    (masks, edge_lanes), = lab._lane_blocks(n, "random", seed, [(0, samples)])
+    graphs = [from_red_mask(n, mask) for mask in masks]
+    ones = (1 << len(masks)) - 1
+    adj = lanes.adjacency(n, edge_lanes, ones)
+    _, residual = lanes.covers(n, adj, ones)
+    _, left, far = lanes.complements(n, adj, residual)
+    claims, failed = lanes.lemmas(n, adj, far, left)
+    assert failed == 0
+    assert {lanes.census_key(claim) for claim in claims} == set(LEMMA_KEYS)
+    assert lanes.verify(n, adj, claims) == (0, 0, 0)
+    outcomes = set()
+    for claim, found in claims.items():
+        for forged in _lemma_forgeries(n, claim, found):
+            rejected, small, wide = lanes.verify(n, adj, {forged: found})
+            assert not (rejected | small | wide) & ~found
+            c5plus = forged[0] == "lemma-c5plus"
+            for i, (ca, a, cb, b) in _lemma_parts(n, forged, found).items():
+                g = graphs[i]
+                if not c5plus:
+                    a, b = star(g, ca, a), star(g, cb, b)
+                reason = check_cover(g, Cover(n, a, ca, b, cb))
+                assert bool(rejected >> i & 1) == (reason is not None)
+                too_small = max(a.bit_count(), b.bit_count()) < n // 2
+                assert bool(small >> i & 1) == too_small
+                diam2 = is_diam2_subset(g, ca, a) and is_diam2_subset(g, cb, b)
+                assert bool(wide >> i & 1) == (not diam2)
+                outcomes.add((c5plus, reason))
+    # a wrong center uncovers a vertex; a vertex moved out of a part
+    # uncovers it, and one moved into a part can break it
+    assert {(False, "not a cover"), (False, None), (True, "not a cover"),
+            (True, None)} <= outcomes
+    assert outcomes & {(True, "A not 2-reachable"), (True, "B not 2-reachable")}
+
+
+def test_scan_examines_the_lanes_lemmas_reports_failing(monkeypatch):
+    """Lanes that lanes.lemmas reports as failing an internal assertion
+    make no claim and reach _examine: solved there, they tally as before,
+    and when solve raises, each keeps its reason."""
+    n, seed, samples = 10, 2, 300
+    real_lemmas, real_solve = lanes.lemmas, lab.solve
+    moved_keys = ("lemma-i", "lemma-c5plus")
+
+    def failing_lemmas(n, adj, far, left):
+        claims, failed = real_lemmas(n, adj, far, left)
+        for claim in [c for c in claims if c[0] in moved_keys]:
+            failed |= claims.pop(claim)
+        return claims, failed
+
+    calls = []
+
+    def counting_solve(g):
+        calls.append(g.red_mask())
+        return real_solve(g)
+
+    masks = [random_red_mask(n, seed + SEED_STRIDE * i) for i in range(samples)]
+    moved = sorted(m for m in masks
+                   if branch_key(solve(from_red_mask(n, m)).certificate)
+                   in moved_keys)
+    monkeypatch.setattr(lanes, "lemmas", failing_lemmas)
+    monkeypatch.setattr(lab, "solve", counting_solve)
+    report = scan(n, "random", "both", samples=samples, seed=seed)
+    assert sorted(calls) == moved and len(moved) == 17
+    assert report.machine_text() == \
+        (FIXTURES / "scan_n10_random_both.txt").read_text()
+
+    def failing_solve(g):
+        if g.red_mask() in moved:
+            raise InternalInconsistencyError(f"injected at {g.red_mask():x}", g)
+        return real_solve(g)
+
+    monkeypatch.setattr(lab, "solve", failing_solve)
+    report = scan(n, "random", "both", samples=samples, seed=seed)
+    smallest = {}
+    for m in moved:
+        smallest.setdefault(canonical_red_mask(n, m), m)
+    assert report.assertion_failures == tuple(
+        mask_to_compact(n, c) for c in sorted(smallest))
+    assert report.assertion_reasons == tuple(
+        f"injected at {m:x} [coloring {mask_to_compact(n, m)}]"
+        for _, m in sorted(smallest.items()))
+    assert report.diam2_cover_found == samples
+
+
 def test_scan_searches_alone_the_lanes_that_fail_the_lane_stage1(monkeypatch):
-    """_diam2_cover runs with solve's cover for the branch-3 colorings and
-    without one for the critical-complement lanes whose cover is not
-    diameter-2; every other lane is settled by the lane pass."""
+    """_diam2_cover runs, without a cover, only for the critical-complement
+    lanes whose cover is not diameter-2; every other lane, the branch-3
+    ones included, is settled by the lane passes."""
     n, samples, seed = 10, 300, 2
     masks = [random_red_mask(n, seed + SEED_STRIDE * i) for i in range(samples)]
     expected = []
@@ -1147,12 +1365,10 @@ def test_scan_searches_alone_the_lanes_that_fail_the_lane_stage1(monkeypatch):
         g = from_red_mask(n, m)
         cov = solve(g)
         key = branch_key(cov.certificate)
-        if key == COMPLEMENT:
-            if not (is_diam2_subset(g, RED, cov.a)
-                    and is_diam2_subset(g, BLUE, cov.b)):
-                expected.append((m, False))
-        elif key not in LANE_KEYS:
-            expected.append((m, True))
+        if not (is_diam2_subset(g, cov.color_a, cov.a)
+                and is_diam2_subset(g, cov.color_b, cov.b)):
+            assert key == COMPLEMENT
+            expected.append((m, False))
     calls = []
     real = lab._diam2_cover
 
@@ -1163,7 +1379,7 @@ def test_scan_searches_alone_the_lanes_that_fail_the_lane_stage1(monkeypatch):
     monkeypatch.setattr(lab, "_diam2_cover", counting)
     report = scan(n, "random", "both", samples=samples, seed=seed)
     assert sorted(calls) == sorted(expected)
-    assert {with_cov for _, with_cov in expected} == {False, True}
+    assert expected
     assert report.machine_text() == \
         (FIXTURES / "scan_n10_random_both.txt").read_text()
 
