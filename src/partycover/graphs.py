@@ -68,6 +68,13 @@ def partner(v: int, n: int) -> int:
     return v ^ 1
 
 
+def _check_pair(n: int, u: int, v: int) -> None:
+    """The one home of the vertex-pair rule: ValueError unless u and v are
+    two distinct vertices of order n."""
+    if not (0 <= u < n and 0 <= v < n) or u == v:
+        raise ValueError(f"invalid pair ({u}, {v}) for n={n}")
+
+
 def num_edges(n: int) -> int:
     """Number of edges of the cocktail party graph: n(n-2)/2.
 
@@ -171,11 +178,7 @@ class ColoredCocktail:
 
     def color_of(self, u: int, v: int) -> int | None:
         """Color of the edge {u, v}, or None for the partner non-edge."""
-        n = self.n
-        if not (0 <= u < n and 0 <= v < n):
-            raise ValueError(f"vertex out of range: ({u}, {v}) for n={n}")
-        if u == v:
-            raise ValueError(f"({u}, {v}) is not a pair")
+        _check_pair(self.n, u, v)
         if v == (u ^ 1):
             return None
         if (self.red[u] >> v) & 1:
@@ -290,10 +293,9 @@ def from_red_set(n: int, red_pairs: Iterable[tuple[int, int]]) -> ColoredCocktai
     others = _red_mask_plan(n)[3]
     red = [0] * n
     for u, v in red_pairs:
+        _check_pair(n, u, v)
         if u > v:
             u, v = v, u
-        if not (0 <= u < n and 0 <= v < n) or u == v:
-            raise ValueError(f"invalid pair ({u}, {v}) for n={n}")
         if v == (u ^ 1):
             raise ValueError(f"partner pair ({u}, {v}) is not an edge")
         if (red[u] >> v) & 1:

@@ -7,17 +7,17 @@ module searches for such covers coloring by coloring and scans whole
 coloring spaces, exhaustively or by seeded sampling, with optional
 symmetry pruning and a deterministic machine-readable report.
 
-An unpruned scan up to n = 64 settles all four of solve's branches (one
-color has diameter <= 2 on V; a partner pair is critical in one color; a
-red-critical and a blue-critical edge share a vertex; the critical edges
-of the two colors have disjoint ends) a block of colorings at a time:
-lane i of one int per edge holds that edge's color in coloring i, a lane
-verifier re-derives each claimed cover, and the stage 1 of the
-diameter-2 search runs on the same lanes.  The branch-3 and branch-4
-colorings of a block with few residual colorings, those whose branch 3
-fails an internal assertion, and every coloring of a pruned or larger
-scan go through solve, verify_cover and the diameter-2 search one at a
-time.  The human report keeps the message of each internal assertion
+A scan up to n = 64, pruned or not, settles all four of solve's
+branches (one color has diameter <= 2 on V; a partner pair is critical
+in one color; a red-critical and a blue-critical edge share a vertex;
+the critical edges of the two colors have disjoint ends) a block of
+colorings at a time: lane i of one int per edge holds that edge's color
+in coloring i, a lane verifier re-derives each claimed cover, and the
+stage 1 of the diameter-2 search runs on the same lanes.  The branch-3
+and branch-4 colorings of a block with few residual colorings, those
+whose branch 3 fails an internal assertion, and every coloring above
+n = 64 go through solve, verify_cover and the diameter-2 search one at
+a time.  The human report keeps the message of each internal assertion
 failure; the machine report counts them only.
 
 Report determinism contract: ``machine_lines`` depends only on the scan
@@ -90,13 +90,13 @@ _SUBRANGES_PER_WORKER = 16
 #: Low mask bits an exhaustive lane block spans: 2**16 colorings per block.
 _LANE_BITS = 16
 
-#: Most sampled masks a random lane block holds.
+#: Most masks a random or pruned lane block holds.
 _RANDOM_LANES = 1 << 12
 
-#: Largest n whose unpruned scans take the lane path.  A block's two n x n
-#: lane tables grow as n**2 and its far-pair loops as n**3: at n = 128 a
-#: random block of 4 096 colorings holds 18 MB of tables and scans barely
-#: faster than one coloring at a time.
+#: Largest n whose scans take the lane path.  A block's two n x n lane
+#: tables grow as n**2 and its far-pair loops as n**3: at n = 128 a random
+#: block of 4 096 colorings holds 18 MB of tables and scans barely faster
+#: than one coloring at a time.
 _LANE_MAX_N = 64
 
 #: Residual colorings per vertex a lane block needs before they go through
@@ -274,12 +274,19 @@ def _relabeled_masks(n: int, mask: int) -> Iterator[int]:
     return itertools.repeat(0, len(tables))  # n = 2: no edges
 
 
-@lru_cache(maxsize=ORBIT_MAX_N // 2)
-def _orbit_full_mask(n: int) -> int:
-    """All-red mask of order n, for the orbit functions: refuses n > ORBIT_MAX_N.
+def _orbit_full_mask(n: int, mask: int) -> int:
+    """All-red mask of order n, for the orbit functions: refuses n > ORBIT_MAX_N
+    and a red mask out of range."""
+    full = _orbit_full(n)
+    if not 0 <= mask <= full:
+        raise ValueError(f"red mask {mask:#x} out of range for n={n}")
+    return full
 
-    Cached because is_canonical needs it for every mask a pruned scan walks.
-    """
+
+@lru_cache(maxsize=ORBIT_MAX_N // 2)
+def _orbit_full(n: int) -> int:
+    """_orbit_full_mask's bound on n and its all-red mask; cached because
+    is_canonical needs it for every mask a pruned scan walks."""
     if n > ORBIT_MAX_N:
         raise ValueError(
             f"n={n} exceeds the orbit bound ORBIT_MAX_N={ORBIT_MAX_N} "
@@ -292,9 +299,7 @@ def canonical_red_mask(n: int, mask: int) -> int:
 
     Refuses n > ORBIT_MAX_N.
     """
-    full = _orbit_full_mask(n)
-    if not 0 <= mask <= full:
-        raise ValueError(f"red mask {mask:#x} out of range for n={n}")
+    full = _orbit_full_mask(n, mask)
     images = list(_relabeled_masks(n, mask))
     # full - image is the image's color swap, smallest for the largest image
     return min(min(images), full - max(images))
@@ -302,9 +307,7 @@ def canonical_red_mask(n: int, mask: int) -> int:
 
 def is_canonical(n: int, mask: int) -> bool:
     """Is this red mask the smallest in its orbit?  Refuses n > ORBIT_MAX_N."""
-    full = _orbit_full_mask(n)
-    if not 0 <= mask <= full:
-        raise ValueError(f"red mask {mask:#x} out of range for n={n}")
+    full = _orbit_full_mask(n, mask)
     swapped = full - mask
     if swapped < mask:  # the color swap alone settles half of all masks
         return False
@@ -497,61 +500,49 @@ def _scan_chunk(n: int, mode: str, check: str, prune: bool, seed: int | None,
                 ranges: list[tuple[int, int]]) -> _Partial:
     """Tally the colorings of every index range [lo, hi) in ranges.
 
-    Unpruned scans up to _LANE_MAX_N go a lane block at a time
-    (_tally_lanes); every other scan examines one coloring at a time.
+    Scans up to _LANE_MAX_N go a lane block at a time (_tally_lanes);
+    above it each coloring is examined one at a time.
     """
     part = _Partial()
-    if not prune and n <= _LANE_MAX_N:
-        for masks, edge_lanes in _lane_blocks(n, mode, seed, ranges):
+    if n <= _LANE_MAX_N:
+        for masks, edge_lanes in _lane_blocks(n, mode, prune, seed, ranges):
             _tally_lanes(n, check, masks, edge_lanes, part)
-    elif mode == "exhaustive":
-        # Gray-code walk: counter i visits mask i ^ (i >> 1), flipping one
-        # edge per step, so adjacency updates are O(1).  Each range restarts
-        # the walk from its own first mask.
-        edges = edge_list(n)
-        for lo, hi in ranges:
-            mask = lo ^ (lo >> 1)
-            base = from_red_mask(n, mask)
-            red, blue = list(base.red), list(base.blue)
-            for i in range(lo, hi):
-                if not prune or is_canonical(n, mask):
-                    g = ColoredCocktail(n, red, blue, validate=False)
-                    _examine(g, mask, check, part)
-                nxt = i + 1
-                if nxt < hi:  # edge k changes color: flip its bit in both tables
-                    k = (nxt & -nxt).bit_length() - 1
-                    u, v = edges[k]
-                    ub, vb = 1 << u, 1 << v
-                    red[u] ^= vb; red[v] ^= ub
-                    blue[u] ^= vb; blue[v] ^= ub
-                    mask ^= 1 << k
     else:
-        for lo, hi in ranges:
-            for i in range(lo, hi):
-                mask = random_red_mask(n, seed + SEED_STRIDE * i)
-                _examine(from_red_mask(n, mask), mask, check, part)
+        for mask in _masks(n, mode, prune, seed, ranges):
+            _examine(from_red_mask(n, mask), mask, check, part)
     return part
 
 
-def _lane_blocks(n: int, mode: str, seed: int | None,
+def _masks(n: int, mode: str, prune: bool, seed: int | None,
+           ranges: list[tuple[int, int]]) -> Iterator[int]:
+    """The red masks of the index ranges: sample i's draw in a random
+    scan, else mask i, which a pruned scan keeps only when canonical."""
+    indices = (i for lo, hi in ranges for i in range(lo, hi))
+    if mode == "random":
+        return (random_red_mask(n, seed + SEED_STRIDE * i) for i in indices)
+    if prune:
+        return (i for i in indices if is_canonical(n, i))
+    return indices
+
+
+def _lane_blocks(n: int, mode: str, prune: bool, seed: int | None,
                  ranges: list[tuple[int, int]]
                  ) -> Iterator[tuple[Sequence[int], list[int]]]:
     """(masks, edge_lanes) blocks holding the colorings of the index ranges.
 
     edge_lanes[k] is edge k's lane int: bit i is set when masks[i] colors
-    edge k red.  The report depends only on the set of masks, so an exhaustive
-    range walks masks in index order, as whole blocks of 2**b masks sharing
-    their high bits (b = min(m, _LANE_BITS)) plus at most two partial ones:
-    each low edge is a fixed lane pattern and each high edge all or none.
-    A random share is drawn _RANDOM_LANES masks at a time, each block
-    sorted (so the lowest lane of a set is its smallest mask) and
-    transposed.
+    edge k red.  The report depends only on the set of masks, so an
+    unpruned exhaustive range walks masks in index order, as whole blocks
+    of 2**b masks sharing their high bits (b = min(m, _LANE_BITS)) plus at
+    most two partial ones: each low edge is a fixed lane pattern and each
+    high edge all or none.  A random or pruned share (_masks) is taken
+    _RANDOM_LANES masks at a time, each block sorted (so the lowest lane
+    of a set is its smallest mask) and transposed.
     """
     m = num_edges(n)
-    if mode == "random":
-        share = (i for lo, hi in ranges for i in range(lo, hi))
-        while masks := sorted(random_red_mask(n, seed + SEED_STRIDE * i)
-                              for i in itertools.islice(share, _RANDOM_LANES)):
+    if mode == "random" or prune:
+        share = _masks(n, mode, prune, seed, ranges)
+        while masks := sorted(itertools.islice(share, _RANDOM_LANES)):
             yield masks, lanes.transpose(masks, m)
         return
     b = min(m, _LANE_BITS)
@@ -716,13 +707,13 @@ def scan(n: int, mode: str = "exhaustive", check: str = "reach",
     ``seed`` (sample i uses seed + SEED_STRIDE*i).  prune restricts an
     exhaustive scan to canonical orbit representatives.
 
-    Without prune and up to n = 64, the colorings of all four of solve's
+    Up to n = 64, pruned or not, the colorings of all four of solve's
     branches (whole-c, two-stars-c, lemma-* and critical-complement) are
     classified and verified a lane block at a time (_tally_lanes) and
     never reach solve or verify_cover; the branch-3 and branch-4 ones of a
     block whose residual is too sparse for the lane passes, those whose
-    branch 3 fails an internal assertion, and every coloring of a pruned
-    or larger scan are solved and verified one at a time.
+    branch 3 fails an internal assertion, and every coloring above n = 64
+    are solved and verified one at a time.
 
     workers = 1 scans the whole index range in this process.  workers > 1
     (at most SCAN_MAX_WORKERS) cuts the range into workers * 16 equal

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import BLUE, RED, ColoredCocktail
+from .graphs import BLUE, RED, ColoredCocktail, _check_pair
 
 
 def dist_le2(g: ColoredCocktail, c: int, u: int, v: int) -> bool:
@@ -20,11 +20,7 @@ def dist_le2(g: ColoredCocktail, c: int, u: int, v: int) -> bool:
     The middle vertex may lie anywhere in V -- this is the 2-reachable
     relaxation, not induced distance.
     """
-    n = g.n
-    if not (0 <= u < n and 0 <= v < n):
-        raise ValueError(f"vertex out of range: ({u}, {v}) for n={n}")
-    if u == v:
-        raise ValueError(f"dist_le2 needs two distinct vertices, got {u} twice")
+    _check_pair(g.n, u, v)
     adj = g.adj(c)
     au = adj[u]
     return bool((au >> v) & 1) or bool(au & adj[v])

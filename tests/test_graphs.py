@@ -39,6 +39,7 @@ from partycover.graphs import (
     _red_mask_plan,
 )
 from partycover.lab import scan, symmetry_classes, symmetry_group_order
+from partycover.reach import dist_le2
 
 
 def test_partner_convention():
@@ -107,6 +108,18 @@ def test_from_red_set_rejects_bad_pairs():
         from_red_set(4, [(0, 2), (2, 0)])
     with pytest.raises(ValueError, match="invalid"):
         from_red_set(4, [(0, 4)])
+
+
+@pytest.mark.parametrize("u,v", [(1, 1), (0, 4), (4, 0), (-1, 2), (5, 5)])
+@pytest.mark.parametrize("call", [
+    lambda u, v: all_red(4).color_of(u, v),
+    lambda u, v: dist_le2(all_red(4), RED, u, v),
+    lambda u, v: from_red_set(4, [(u, v)]),
+], ids=["color_of", "dist_le2", "from_red_set"])
+def test_every_vertex_pair_check_raises_the_same_error(call, u, v):
+    with pytest.raises(ValueError,
+                       match=f"^invalid pair \\({u}, {v}\\) for n=4$"):
+        call(u, v)
 
 
 @given(colorings(max_n=10))

@@ -425,6 +425,15 @@ def test_scan_report_goldens(kwargs, fixture):
     assert scan(**kwargs).machine_text() == (FIXTURES / fixture).read_text()
 
 
+@pytest.mark.heavy
+def test_scan_n8_pruned_report_golden():
+    # the 24 607 n = 8 classes fire every live branch, lemma-* included,
+    # which no n = 6 class reaches
+    report = scan(8, check="both", prune=True, workers=2)
+    assert report.machine_text() == \
+        (FIXTURES / "scan_n8_both_pruned.txt").read_text()
+
+
 def _failing_masks(n, samples, seed):
     return {random_red_mask(n, seed + SEED_STRIDE * i) for i in range(samples)}
 
@@ -1043,7 +1052,8 @@ def _assert_blocks_match_oracle(n, blocks):
 @pytest.mark.parametrize("n", [2, 4, 6])
 def test_lane_path_matches_the_oracle_on_every_coloring(n):
     total = 1 << num_edges(n)
-    blocks = list(lab._lane_blocks(n, "exhaustive", None, [(0, total)]))
+    blocks = list(lab._lane_blocks(n, "exhaustive", False, None,
+                                   [(0, total)]))
     assert [list(masks) for masks, _ in blocks] == [list(range(total))]
     keys = _assert_blocks_match_oracle(n, blocks)
     # n = 6 is the smallest order with a critical-complement coloring, and
@@ -1073,7 +1083,7 @@ def test_lane_path_matches_the_oracle_on_n8_blocks():
         lo = rng.getrandbits(24 - 1)
         ranges.append((lo, lo + rng.randrange(1, 400)))
     ranges.append((high + (5 << 16) - 150, high + (5 << 16) + 250))
-    blocks = list(lab._lane_blocks(8, "exhaustive", None, ranges))
+    blocks = list(lab._lane_blocks(8, "exhaustive", False, None, ranges))
     assert len(blocks) == 6
     assert [m for masks, _ in blocks for m in masks] == \
         [m for lo, hi in ranges for m in range(lo, hi)]
@@ -1081,9 +1091,22 @@ def test_lane_path_matches_the_oracle_on_n8_blocks():
     assert {*LANE_KEYS, COMPLEMENT} < keys <= {*LANE_KEYS, COMPLEMENT, *LEMMA_KEYS}
 
 
+@pytest.mark.parametrize("n,hi", [(6, 1 << 12), (8, 1 << 16)])
+def test_lane_path_matches_the_oracle_on_pruned_blocks(n, hi):
+    # a pruned share is its canonical masks, a sorted block at a time
+    blocks = list(lab._lane_blocks(n, "exhaustive", True, None, [(0, hi)]))
+    assert [m for masks, _ in blocks for m in masks] == \
+        [m for m in range(hi) if is_canonical(n, m)]
+    keys = _assert_blocks_match_oracle(n, blocks)
+    # the color swap leaves no whole-1 class at n = 6
+    assert keys == {6: {"whole-2", "two-stars-1", "two-stars-2", COMPLEMENT},
+                    8: {*LANE_KEYS, COMPLEMENT, "lemma-i", "lemma-ii"}}[n]
+
+
 def _assert_random_share_matches_oracle(n, samples):
     seed = 1000 + samples
-    blocks = list(lab._lane_blocks(n, "random", seed, [(0, samples)]))
+    blocks = list(lab._lane_blocks(n, "random", False, seed,
+                                   [(0, samples)]))
     assert [masks for masks, _ in blocks] == [sorted(
         random_red_mask(n, seed + SEED_STRIDE * i) for i in range(samples))]
     keys = _assert_blocks_match_oracle(n, blocks)
@@ -1122,8 +1145,8 @@ def test_lane_verifier_rejects_every_forged_cover():
     n/2 vertices: a wrong key or a wrong pair is caught."""
     n = 6
     full = (1 << n) - 1
-    (masks, edge_lanes), = lab._lane_blocks(n, "exhaustive", None,
-                                       [(0, 1 << num_edges(n))])
+    (masks, edge_lanes), = lab._lane_blocks(n, "exhaustive", False, None,
+                                            [(0, 1 << num_edges(n))])
     graphs = [from_red_mask(n, mask) for mask in masks]
     ones = (1 << len(masks)) - 1
     adj = lanes.adjacency(n, edge_lanes, ones)
@@ -1168,7 +1191,8 @@ def test_lane_verifier_rejects_every_forged_complement(n, samples, seed):
     """The verifier rejects a forged critical-complement lane exactly when
     check_cover rejects its cover, flags it small exactly when neither part
     has n/2 vertices, and wide exactly when a part fails is_diam2_subset."""
-    (masks, edge_lanes), = lab._lane_blocks(n, "random", seed, [(0, samples)])
+    (masks, edge_lanes), = lab._lane_blocks(n, "random", False, seed,
+                                            [(0, samples)])
     graphs = [from_red_mask(n, mask) for mask in masks]
     ones = (1 << len(masks)) - 1
     adj = lanes.adjacency(n, edge_lanes, ones)
@@ -1201,7 +1225,8 @@ def test_lemmas_match_the_case_analysis_on_forged_far_edges(n, samples, seed):
     case analysis of cover._shared_vertex_cover on the edges solve would
     pick from the same far edges: the same lanes fail, with every one of
     its assertions firing somewhere, and the others get the same claim."""
-    (masks, edge_lanes), = lab._lane_blocks(n, "random", seed, [(0, samples)])
+    (masks, edge_lanes), = lab._lane_blocks(n, "random", False, seed,
+                                            [(0, samples)])
     ones = (1 << len(masks)) - 1
     adj = lanes.adjacency(n, edge_lanes, ones)
     far = lanes.complements(n, adj, ones)[2]
@@ -1271,7 +1296,8 @@ def test_lane_verifier_rejects_every_forged_lemma_claim(n, samples, seed):
     """The verifier rejects a forged lemma-* lane exactly when check_cover
     rejects its cover, flags it small exactly when neither part has n/2
     vertices, and wide exactly when a part fails is_diam2_subset."""
-    (masks, edge_lanes), = lab._lane_blocks(n, "random", seed, [(0, samples)])
+    (masks, edge_lanes), = lab._lane_blocks(n, "random", False, seed,
+                                            [(0, samples)])
     graphs = [from_red_mask(n, mask) for mask in masks]
     ones = (1 << len(masks)) - 1
     adj = lanes.adjacency(n, edge_lanes, ones)
@@ -1388,7 +1414,8 @@ def test_sparse_residual_block_tallies_the_same_by_either_route(monkeypatch):
     """An n = 32 block has a few residual lanes, too few for the branch-4
     lane pass; forced through it, they tally the same."""
     n = 32
-    (masks, edge_lanes), = lab._lane_blocks(n, "random", 9, [(0, 2000)])
+    (masks, edge_lanes), = lab._lane_blocks(n, "random", False, 9,
+                                            [(0, 2000)])
     keys = [branch_key(solve(from_red_mask(n, m)).certificate) for m in masks]
     residual = [k for k in keys if k not in LANE_KEYS]
     assert COMPLEMENT in residual
@@ -1448,6 +1475,28 @@ def test_scan_takes_the_lane_path_up_to_its_bound(monkeypatch, n):
     assert sorted(calls) == sorted(masks if n > lab._LANE_MAX_N else residual)
     assert {k: v for k, v in report.branch_counts.items() if v} == \
         {k: keys.count(k) for k in keys}
+    assert report.ok
+
+
+def test_pruned_scan_takes_the_lane_path(monkeypatch):
+    """A pruned scan tallies its canonical masks a lane block at a time:
+    only the residual ones are solved one at a time."""
+    n = 6
+    classes = symmetry_classes(n)
+    keys = [branch_key(solve(from_red_mask(n, m)).certificate)
+            for m in classes]
+    calls = []
+    real = lab.solve
+
+    def counting_solve(g):
+        calls.append(g.red_mask())
+        return real(g)
+
+    monkeypatch.setattr(lab, "solve", counting_solve)
+    report = scan(n, check="reach", prune=True)
+    residual = [m for m, k in zip(classes, keys) if k not in LANE_KEYS]
+    assert residual and sorted(calls) == residual
+    assert report.reduced_classes == len(classes)
     assert report.ok
 
 
