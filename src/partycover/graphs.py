@@ -55,9 +55,14 @@ class GraphFormatError(ValueError):
 
 def flip(color: int) -> int:
     """The other color: flip(1) = 2, flip(2) = 1."""
+    _check_color(color)
+    return 3 - color
+
+
+def _check_color(color: int) -> None:
+    """The one home of the color rule: ValueError unless color is 1 or 2."""
     if color not in (RED, BLUE):
         raise ValueError(f"color must be 1 or 2, got {color!r}")
-    return 3 - color
 
 
 def partner(v: int, n: int) -> int:
@@ -174,7 +179,7 @@ class ColoredCocktail:
             return self.red
         if color == BLUE:
             return self.blue
-        raise ValueError(f"color must be 1 or 2, got {color!r}")
+        _check_color(color)  # neither color: raises
 
     def color_of(self, u: int, v: int) -> int | None:
         """Color of the edge {u, v}, or None for the partner non-edge."""

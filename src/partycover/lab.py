@@ -13,10 +13,9 @@ in one color; a red-critical and a blue-critical edge share a vertex;
 the critical edges of the two colors have disjoint ends) a block of
 colorings at a time: lane i of one int per edge holds that edge's color
 in coloring i, a lane verifier re-derives each claimed cover, and the
-stage 1 of the diameter-2 search runs on the same lanes.  The branch-3
-and branch-4 colorings of a block with few residual colorings, those
+stage 1 of the diameter-2 search runs on the same lanes.  The colorings
 whose branch 3 fails an internal assertion, and every coloring above
-n = 64 go through solve, verify_cover and the diameter-2 search one at
+n = 64, go through solve, verify_cover and the diameter-2 search one at
 a time.  The human report keeps the message of each internal assertion
 failure; the machine report counts them only.
 
@@ -98,24 +97,6 @@ _RANDOM_LANES = 1 << 12
 #: block of 4 096 colorings holds 18 MB of tables and scans barely faster
 #: than one coloring at a time.
 _LANE_MAX_N = 64
-
-#: Residual colorings per vertex a lane block needs before they go through
-#: the lane passes of branches 4 and 3 (transpose, lanes.complements,
-#: lanes.lemmas, lanes.verify and the tallies); fewer all go to _examine.
-#: The passes cost a fixed part plus a little per coloring, and each
-#: critical-complement or lemma-* coloring they settle saves an _examine.
-#: Over R residual colorings of uniform random blocks (2 vCPUs, Python
-#: 3.11, check "reach"), passes against _examine of the colorings they
-#: settle:
-#:   n =  8: R =  4 0.17 / 0.13 ms, R =  8 0.20 / 0.24, R = 16 0.42 / 0.63
-#:   n = 10: R =  5 0.26 / 0.23 ms, R = 10 0.50 / 0.60, R = 20 0.51 / 0.92
-#:   n = 16: R =  8 0.69 / 0.62 ms, R = 16 0.93 / 1.28, R = 32 1.72 / 2.64
-#:   n = 24: R = 12 1.94 / 1.54 ms, R = 24 2.63 / 3.53, R = 48 3.88 / 7.13
-#:   n = 32: R = 16 4.72 / 5.06 ms, R = 32 6.68 / 9.29, R = 64 7.54 / 14.98
-#: They break even between R = n/2 and R = n (check "both" at n = 8 and 10
-#: reads the same), so R >= n leaves a margin.  A uniform 4 096-lane block
-#: holds about 8 residual colorings at n = 32 and none at n = 64.
-_COMPLEMENT_MIN_RESIDUAL = 1
 
 #: Color pairs (A, B) of the diameter-2 search; see _diam2_cover.
 _COLOR_PAIRS = ((RED, RED), (RED, BLUE), (BLUE, BLUE))
@@ -560,44 +541,24 @@ def _lane_blocks(n: int, mode: str, prune: bool, seed: int | None,
 def _tally_lanes(n: int, check: str, masks: Sequence[int],
                  edge_lanes: list[int], part: _Partial) -> None:
     """Tally one lane block: the lane path for all four branches, _examine
-    for the colorings the lane passes leave.
+    for the colorings it leaves.
 
-    The residual colorings of branches 1-2 go through branches 4 and 3 as
-    a block of their own, transposed afresh so that its lane ints are no
-    wider than the residual, when there are enough of them to pay for it
-    (_complements_pay); else all of them go to _examine.  There branch 3
-    takes the lanes branch 4 leaves, and only the lanes where it fails an
-    internal assertion go to _examine, which reports its message.
+    lanes.covers settles branches 1, 2 and 4 and hands its far edges to
+    lanes.lemmas, which settles branch 3 on the lanes left.  A claimed
+    cover the lane verifier rejects is a reach failure, and its coloring
+    goes to the diameter-2 search alone.  One it accepts counts as a
+    diameter-2 cover too when both parts pass the lane stage 1 (V in a
+    whole-c lane and any closed star always do); a critical-complement or
+    lemma-c5plus coloring that fails it also goes to the search alone,
+    whose answer does not depend on the stage 1 it skips.  Only the lanes
+    where branch 3 fails an internal assertion go to _examine, which
+    reports its message.
     """
     ones = (1 << len(masks)) - 1
     adj = lanes.adjacency(n, edge_lanes, ones)
-    claims, residual = lanes.covers(n, adj, ones)
-    _tally_claims(n, check, masks, adj, claims, part)
-    rest = [masks[i] for i in lanes.indices(residual)]
-    if _complements_pay(n, len(rest)):
-        ones = (1 << len(rest)) - 1
-        adj = lanes.adjacency(n, lanes.transpose(rest, num_edges(n)), ones)
-        claims, left, far = lanes.complements(n, adj, ones)
-        more, failed = lanes.lemmas(n, adj, far, left)
-        claims.update(more)
-        _tally_claims(n, check, rest, adj, claims, part)
-        rest = [rest[i] for i in lanes.indices(failed)]
-    for mask in rest:
-        _examine(from_red_mask(n, mask), mask, check, part)
-
-
-def _tally_claims(n: int, check: str, masks: Sequence[int],
-                  adj: dict[int, list[list[int]]], claims: lanes.Claims,
-                  part: _Partial) -> None:
-    """Tally the claimed lanes of one block.
-
-    A claimed cover the lane verifier rejects is a reach failure, and its
-    coloring goes to the diameter-2 search alone.  One it accepts counts
-    as a diameter-2 cover too when both parts pass the lane stage 1 (V in
-    a whole-c lane and any closed star always do); a critical-complement
-    or lemma-c5plus coloring that fails it also goes to the search alone,
-    whose answer does not depend on the stage 1 it skips.
-    """
+    claims, left, far = lanes.covers(n, adj, ones)
+    more, failed = lanes.lemmas(n, adj, far, left)
+    claims.update(more)
     rejected, small, wide = lanes.verify(n, adj, claims)
     covered = 0
     for claim, x in claims.items():
@@ -620,12 +581,8 @@ def _tally_claims(n: int, check: str, masks: Sequence[int],
                 part.counts["diam2_found"] += 1
             else:
                 part.failed["diam2"].add(masks[i])
-
-
-def _complements_pay(n: int, residual: int) -> bool:
-    """Does a block with this many residual lanes go through
-    lanes.complements and lanes.lemmas?  See _COMPLEMENT_MIN_RESIDUAL."""
-    return residual >= _COMPLEMENT_MIN_RESIDUAL * n
+    for i in lanes.indices(failed):
+        _examine(from_red_mask(n, masks[i]), masks[i], check, part)
 
 
 def _split(total: int, workers: int) -> list[list[tuple[int, int]]]:
@@ -710,10 +667,9 @@ def scan(n: int, mode: str = "exhaustive", check: str = "reach",
     Up to n = 64, pruned or not, the colorings of all four of solve's
     branches (whole-c, two-stars-c, lemma-* and critical-complement) are
     classified and verified a lane block at a time (_tally_lanes) and
-    never reach solve or verify_cover; the branch-3 and branch-4 ones of a
-    block whose residual is too sparse for the lane passes, those whose
-    branch 3 fails an internal assertion, and every coloring above n = 64
-    are solved and verified one at a time.
+    never reach solve or verify_cover; those whose branch 3 fails an
+    internal assertion, and every coloring above n = 64, are solved and
+    verified one at a time.
 
     workers = 1 scans the whole index range in this process.  workers > 1
     (at most SCAN_MAX_WORKERS) cuts the range into workers * 16 equal

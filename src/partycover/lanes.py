@@ -3,14 +3,14 @@
 Lane i of every int here stands for coloring i of a block (Biham, *A
 fast new DES implementation in software*, FSE 1997): an edge's lane int
 has bit i set when coloring i colors that edge red.  ``covers`` settles
-branch 1 (one color has diameter <= 2 on V) and branch 2 (a partner
-pair is critical in one color) for every lane at once, ``complements``
-settles branch 4 (the critical edges of the two colors have disjoint
-ends) on the lanes left, ``lemmas`` branch 3 (a red-critical and a
-blue-critical edge share a vertex) on the lanes left after that, and
-``verify`` re-derives each cover they claim from the edge lanes.  The
-lanes where branch 3 would raise InternalInconsistencyError are left to
-solve.
+branch 1 (one color has diameter <= 2 on V), branch 2 (a partner pair is
+critical in one color) and branch 4 (the critical edges of the two
+colors have disjoint ends) for every lane at once, from one far-edge
+pass per color; ``lemmas`` settles branch 3 (a red-critical and a
+blue-critical edge share a vertex) on the lanes left, from the same far
+edges, and ``verify`` re-derives each cover they claim from the edge
+lanes.  The lanes where branch 3 would raise InternalInconsistencyError
+are left to solve.
 """
 
 from __future__ import annotations
@@ -91,102 +91,94 @@ def adjacency(n: int, edge_lanes: list[int],
 def _far(row_u: list[int], row_v: list[int], need: int) -> int:
     """The lanes of need where u and v have no common neighbor."""
     for x, y in zip(row_u, row_v):
-        need &= ~(x & y)
+        need ^= need & x & y  # no complement: a negative operand costs more
         if not need:
             break
     return need
 
 
-def covers(n: int, adj: dict[int, list[list[int]]],
-           ones: int) -> tuple[Claims, int]:
-    """solve's branches 1 and 2 on every lane: (claims, residual lanes).
+def covers(n: int, adj: dict[int, list[list[int]]], ones: int
+           ) -> tuple[Claims, int, tuple[list[int], ...]]:
+    """solve's branches 1, 2 and 4 on every lane: (claims, left, far).
 
-    A claim (c, None) holds the whole-c lanes, whose cover is V in color c;
-    a claim (c, u) holds two-stars-c lanes covered by the closed c-stars of
-    the partner pair (u, u + 1).  As in solve, color 1 is tried before
+    One pass per color c finds, on the lanes still unclaimed with no far
+    c partner pair, the lanes where each edge (edge_list order) is far in
+    c; far keeps them per color, an empty list where no lane needs the
+    pass.  A claim (c, None) holds the whole-c lanes, those with no far c
+    edge either, whose cover is V in color c.
+    A claim (c, u) holds two-stars-c lanes covered by the closed c-stars
+    of the partner pair (u, u + 1).  As in solve, color 1 is tried before
     color 2 in each branch, and a lane's pair is its first partner pair
-    (u ascending) with no common neighbor in the other color.  The
-    residual lanes are the ones neither branch covers.
+    (u ascending) with no common neighbor in the other color.
+
+    The residual lanes, which neither branch covers, have no far partner
+    pair, so their c-far edges are the c-critical edges.  On them p[v]
+    holds the lanes where v ends a red-critical edge and q[v] the same for
+    blue.  The residual lanes where no vertex is in both get the one claim
+    keyed (p, q), both cut to those lanes: their cover is A = V - p in red
+    and B = V - q in blue.  left holds the other residual lanes, whose
+    critical edges share an end (branch 3, see lemmas).
     """
     pairs = range(0, n, 2)
+    edges = edge_list(n)
     critical = {c: [_far(adj[c][u], adj[c][u + 1], ones) for u in pairs]
                 for c in COLORS}
+    paired = {c: reduce(or_, critical[c]) for c in COLORS}
     claims: Claims = {}
+    far = ([], [])
     rest = ones
-    for c in COLORS:
-        # V has diameter <= 2 in c: no partner pair is far, nor is any edge
-        table, whole = adj[c], rest
-        for far in critical[c]:
-            whole &= ~far
-        for u, v in edge_list(n):
-            if not whole:
-                break
-            need = whole & ~table[u][v]
-            if need:
-                whole &= ~_far(table[u], table[v], need)
+    for c, far_c in zip(COLORS, far):
+        table, other, live = adj[c], adj[flip(c)], rest & ~paired[c]
+        if not live:
+            continue
+        whole = live
+        for u, v in edges:
+            # an edge is not a c-edge where it has the other color
+            need = live & other[u][v]
+            x = _far(table[u], table[v], need) if need else 0
+            far_c.append(x)
+            whole ^= whole & x
         if whole:
             claims[c, None] = whole
             rest &= ~whole
     for c in COLORS:
-        for u, far in zip(pairs, critical[c]):
-            far &= rest
-            if far:
-                claims[flip(c), u] = far
-                rest &= ~far
-    return claims, rest
-
-
-def complements(n: int, adj: dict[int, list[list[int]]],
-                residual: int) -> tuple[Claims, int, tuple[list[int], ...]]:
-    """solve's branch 4 on the residual lanes of covers: (claims, left, far).
-
-    A residual lane has no far partner pair, so its c-far pairs are the
-    c-critical edges, and their ends are its far-pair ends.  far holds, per
-    color, the lanes where each edge (edge_list order) is far.  p[v] holds
-    the lanes where v ends a red-critical edge, q[v] the same for blue.
-    The lanes where no vertex is in both get the one claim keyed (p, q),
-    both cut to those lanes: their cover is A = V - p in red and B = V - q
-    in blue.  left holds the other lanes, whose critical edges share an end
-    (branch 3, see lemmas).
-    """
-    edges = edge_list(n)
-    far = ([], [])
-    ends = []
-    for c, far_c in zip(COLORS, far):
-        table, row = adj[c], [0] * n
-        for u, v in edges:
-            need = residual & ~table[u][v]
-            x = _far(table[u], table[v], need) if need else 0
-            far_c.append(x)
+        for u, x in zip(pairs, critical[c]):
+            x &= rest
+            if x:
+                claims[flip(c), u] = x
+                rest &= ~x
+    if not rest:
+        return claims, 0, far
+    # a lane with far edges in both passes has no far partner pair and is
+    # neither whole-1 nor whole-2: it is residual, so meet needs no cut
+    p, q = ([0] * n, [0] * n)
+    for (u, v), *xs in zip(edges, *far):
+        for row, x in zip((p, q), xs):
             row[u] |= x
             row[v] |= x
-        ends.append(row)
-    p, q = ends
-    meet = 0
-    for x, y in zip(p, q):
-        meet |= x & y
-    found = residual & ~meet
-    if not found:
-        return {}, residual, far
-    return ({(tuple(x & found for x in p), tuple(y & found for y in q)): found},
-            residual & meet, far)
+    meet = reduce(or_, [x & y for x, y in zip(p, q)])
+    found = rest & ~meet
+    if found:
+        claims[tuple(x & found for x in p), tuple(y & found for y in q)] = found
+    return claims, meet, far
 
 
 def lemmas(n: int, adj: dict[int, list[list[int]]],
            far: tuple[list[int], ...], left: int) -> tuple[Claims, int]:
-    """solve's branch 3 on the lanes complements leaves: (claims, failed).
+    """solve's branch 3 on the lanes covers leaves: (claims, failed).
 
-    far is complements' per-edge far lanes.  In each lane e is the first
-    red-critical edge (edge_list order) with an end on a blue-critical
-    edge, f the first blue-critical edge through an end of e, x their
-    shared end, y the other end of e and q the other end of f, as in
-    solve.  xs[v] and ys[v] hold the lanes where x = v and y = v; the rows
-    of x, y, x' and y' come from them, and from those the sets and the case
-    split of cover._shared_vertex_cover, each a lane int per vertex.
-    failed holds the lanes where one of its InternalInconsistencyError
-    conditions holds; they make no claim.  A star case is claimed as
-    (key, color_a, centers_a, color_b, centers_b) with one-hot centers,
-    lemma-c5plus as (key, BLUE, A, RED, B) with each part's members.
+    far is covers' per-edge far lanes of the same block.  In each lane e
+    is the first red-critical edge (edge_list order) with an end on a
+    blue-critical edge, f the first blue-critical edge through an end of
+    e, x their shared end, y the other end of e and q the other end of f,
+    as in solve.  xs[v] and ys[v] hold the lanes where x = v and y = v;
+    the rows of x, y, x' and y' come from them, and from those the sets
+    and the case split of cover._shared_vertex_cover, each a lane int per
+    vertex.  failed holds the lanes where one of its
+    InternalInconsistencyError conditions holds; they make no claim.  A
+    star case is claimed as (key, color_a, centers_a, color_b, centers_b)
+    with one-hot centers, lemma-c5plus as (key, BLUE, A, RED, B) with each
+    part's members.
     """
     if not left:
         return {}, 0

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import colorings
 from partycover.cover import parse_cover
-from partycover.extremal import build_sharp_example
+from partycover.extremal import build_sharp_example, max_2reachable
 from partycover.graphs import (
     BLUE,
     EDGE_CACHE_SIZE,
@@ -39,7 +39,7 @@ from partycover.graphs import (
     _red_mask_plan,
 )
 from partycover.lab import scan, symmetry_classes, symmetry_group_order
-from partycover.reach import dist_le2
+from partycover.reach import dist_le2, star
 
 
 def test_partner_convention():
@@ -120,6 +120,20 @@ def test_every_vertex_pair_check_raises_the_same_error(call, u, v):
     with pytest.raises(ValueError,
                        match=f"^invalid pair \\({u}, {v}\\) for n=4$"):
         call(u, v)
+
+
+@pytest.mark.parametrize("color", [0, 3, "1"])
+@pytest.mark.parametrize("call", [
+    flip,
+    lambda c: all_red(4).adj(c),
+    lambda c: star(all_red(4), c, 0),
+    lambda c: dist_le2(all_red(4), c, 0, 2),
+    lambda c: max_2reachable(all_red(4), c),
+], ids=["flip", "adj", "star", "dist_le2", "max_2reachable"])
+def test_every_color_check_raises_the_same_error(call, color):
+    with pytest.raises(ValueError,
+                       match=f"^color must be 1 or 2, got {color!r}$"):
+        call(color)
 
 
 @given(colorings(max_n=10))

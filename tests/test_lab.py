@@ -420,6 +420,13 @@ def test_scan_n6_matches_fixture():
      "scan_n8_random_both.txt"),
     (dict(n=8, mode="random", check="both", samples=20000, seed=5, workers=2),
      "scan_n8_random_both.txt"),
+    (dict(n=16, mode="random", samples=40, seed=4), "scan_n16_random_reach.txt"),
+    (dict(n=16, mode="random", samples=40, seed=4, workers=2),
+     "scan_n16_random_reach.txt"),
+    (dict(n=32, mode="random", samples=3000, seed=3),
+     "scan_n32_random_reach.txt"),
+    (dict(n=32, mode="random", samples=3000, seed=3, workers=2),
+     "scan_n32_random_reach.txt"),
 ])
 def test_scan_report_goldens(kwargs, fixture):
     assert scan(**kwargs).machine_text() == (FIXTURES / fixture).read_text()
@@ -438,28 +445,34 @@ def _failing_masks(n, samples, seed):
     return {random_red_mask(n, seed + SEED_STRIDE * i) for i in range(samples)}
 
 
-#: Census keys of the colorings scan classifies a lane block at a time;
-#: a block's critical-complement and lemma-* colorings join them when its
-#: residual pays for the lane passes of branches 4 and 3
-#: (lab._complements_pay).
+#: Census keys of branches 1 and 2; lanes.covers leaves the other
+#: colorings, the residual ones, to branches 4 and 3.
 LANE_KEYS = ("whole-1", "whole-2", "two-stars-1", "two-stars-2")
 COMPLEMENT = "critical-complement"
 #: The lemma-* keys that fire; lemma-iv and lemma-v never do.
 LEMMA_KEYS = ("lemma-i", "lemma-ii", "lemma-iii", "lemma-vi", "lemma-c5plus")
 
 
-def _is_residual(n, mask, passes=False):
-    """Does scan hand this coloring to the per-coloring path, in a block
-    whose residual goes through the lane passes of branches 4 and 3 or
-    not?  With the passes only a coloring whose branch 3 fails an internal
-    assertion does, and solve covers every coloring here."""
+def _is_residual(n, mask):
+    """Is this coloring a residual one, of branch 3 or 4?"""
     key = branch_key(lab.solve(from_red_mask(n, mask)).certificate)
-    return key not in LANE_KEYS and not passes
+    return key not in LANE_KEYS
 
 
-def _never_complements(monkeypatch):
-    """Send every block's residual to _examine."""
-    monkeypatch.setattr(lab, "_COMPLEMENT_MIN_RESIDUAL", 1 << 62)
+def _examine_every_residual(monkeypatch):
+    """Send every block's residual colorings to _examine, as failed lanes:
+    lanes.covers leaves its critical-complement lanes to lanes.lemmas,
+    which reports every lane it gets as failing an internal assertion."""
+    real = lanes.covers
+
+    def covers(n, adj, ones):
+        claims, left, far = real(n, adj, ones)
+        for claim in [c for c in claims if lanes.census_key(c) == COMPLEMENT]:
+            left |= claims.pop(claim)
+        return claims, left, far
+
+    monkeypatch.setattr(lanes, "covers", covers)
+    monkeypatch.setattr(lanes, "lemmas", lambda n, adj, far, left: ({}, left))
 
 
 def _reject_every_cover(monkeypatch):
@@ -514,7 +527,8 @@ def test_scan_report_goldens_under_start_method(monkeypatch, method):
         assert report.machine_text() == (FIXTURES / fixture).read_text()
 
 
-def _assert_scan_solves_each_residual_coloring_once(monkeypatch, samples):
+def _scan_solve_calls(monkeypatch, samples):
+    """The masks scan(10, "random", "both") solves one at a time, sorted."""
     calls = []
     real = lab.solve
 
@@ -522,26 +536,28 @@ def _assert_scan_solves_each_residual_coloring_once(monkeypatch, samples):
         calls.append(g.red_mask())
         return real(g)
 
-    # lane colorings never reach solve; each residual one reaches it once.
-    # The 20-coloring block is too sparse for the lane passes of branches 4
-    # and 3, so its critical-complement and lemma-* colorings reach solve
-    # too; the 300 one is not, and none of its colorings reaches solve.
-    masks = [random_red_mask(10, 3 + SEED_STRIDE * i) for i in range(samples)]
-    pays = lab._complements_pay(10, sum(_is_residual(10, m) for m in masks))
-    assert pays == (samples == 300)
-    residual = sorted(m for m in masks if _is_residual(10, m, pays))
     monkeypatch.setattr(lab, "solve", counting_solve)
     scan(10, "random", "both", samples=samples, seed=3)
-    assert sorted(calls) == residual
-    assert residual == [] if pays else 0 < len(residual) < samples / 2
+    return sorted(calls)
 
 
 def test_scan_both_solves_each_coloring_once(monkeypatch):
-    _assert_scan_solves_each_residual_coloring_once(monkeypatch, 20)
+    # lane colorings never reach solve; each residual one sent to _examine
+    # reaches it once
+    masks = [random_red_mask(10, 3 + SEED_STRIDE * i) for i in range(20)]
+    residual = sorted(m for m in masks if _is_residual(10, m))
+    _examine_every_residual(monkeypatch)
+    assert _scan_solve_calls(monkeypatch, 20) == residual
+    assert 0 < len(residual) < 20 / 2
 
 
 def test_scan_both_solves_only_branch3_colorings_of_a_dense_block(monkeypatch):
-    _assert_scan_solves_each_residual_coloring_once(monkeypatch, 300)
+    # the lane passes settle every residual coloring of a block, the
+    # 20-coloring one with a few as well as the 300 one: only a branch-3
+    # lane that fails an internal assertion would reach solve, and none of
+    # these does
+    for samples in (20, 300):
+        assert _scan_solve_calls(monkeypatch, samples) == []
 
 
 @pytest.mark.parametrize("kwargs", [
@@ -574,7 +590,7 @@ def test_scan_both_searches_on_after_an_assertion_failure(monkeypatch):
     # critical-complement colorings: they reach solve when _examine takes
     # the whole residual
     assert all(_is_residual(n, m) for m in broken)
-    _never_complements(monkeypatch)
+    _examine_every_residual(monkeypatch)
 
     def failing_solve(g):
         if g.red_mask() in broken:
@@ -607,7 +623,7 @@ def test_scan_keeps_the_message_of_an_assertion_failure(monkeypatch, workers):
     broken = {canonical_red_mask(n, m): m for m in lemma[:3]}
     assert len(broken) == 3
     # lemma-* colorings reach solve when _examine takes the whole residual
-    _never_complements(monkeypatch)
+    _examine_every_residual(monkeypatch)
     real = lab.solve
 
     def failing_solve(g):
@@ -638,7 +654,7 @@ def test_scan_gives_each_failure_name_the_reason_of_its_smallest_mask(
     # share a failure name
     n = 6
     real = lab.solve
-    _never_complements(monkeypatch)
+    _examine_every_residual(monkeypatch)
     masks = [m for m in range(1 << num_edges(n))
              if branch_key(real(from_red_mask(n, m)).certificate) == COMPLEMENT]
     smallest = {}
@@ -728,15 +744,16 @@ def _returns_within(seconds):
 
 
 def _first_residual_mask_of_job(n, workers, job):
-    """The lowest mask of a job's share that reaches _examine: an unpruned
-    exhaustive scan walks each sub-range in index order and classifies
-    the lane colorings without it.  At n = 6 no sub-range holds enough
-    residual colorings for the branch-4 lane pass."""
+    """The lowest residual mask of a job's share: an unpruned exhaustive
+    scan walks each sub-range in index order."""
     return min(m for lo, hi in lab._split(1 << num_edges(n), workers)[job]
                for m in range(lo, hi) if _is_residual(n, m))
 
 
 def _examine_failing_at(monkeypatch, bad, fail):
+    """Send the residual colorings to _examine, and call fail there on the
+    coloring with mask bad."""
+    _examine_every_residual(monkeypatch)
     real = lab._examine
 
     def examine(g, mask, check, part):
@@ -810,7 +827,7 @@ def test_scan_receives_a_large_tally_before_joining(monkeypatch):
     # the worker's tally is far larger than a pipe buffer, so it blocks in
     # send until the caller reads: joining it first would never return.
     # The worker's residual colorings all go to _examine.
-    _never_complements(monkeypatch)
+    _examine_every_residual(monkeypatch)
     caller = os.getpid()
     extra = range(1 << 40, (1 << 40) + 20_000)
     real = lab._examine
@@ -839,6 +856,7 @@ def test_scan_caller_failure_terminates_the_workers(monkeypatch):
             raise LookupError("injected in the caller's own share")
         real(g, mask, check, part)
 
+    _examine_every_residual(monkeypatch)
     monkeypatch.setattr(lab, "_examine", examine)
     # the stalled worker is terminated, not waited for
     with pytest.raises(LookupError, match="caller's own share"):
@@ -973,16 +991,14 @@ def _lemma_parts(n, claim, lanes_of):
 
 def _lane_outcomes(n, masks, edge_lanes):
     """Per lane: None for a lane that fails a branch-3 assertion, else
-    (key, detail, rejected, small, wide) from the lane kernel, branches 4
-    and 3 included, and the lane verifier; detail is None for whole-c, the
+    (key, detail, rejected, small, wide) from the lane kernel, all four
+    branches, and the lane verifier; detail is None for whole-c, the
     pair for two-stars-c, the parts (A, B) for critical-complement and
     _lemma_parts's colors and centers or parts for lemma-*."""
     ones = (1 << len(masks)) - 1
     adj = lanes.adjacency(n, edge_lanes, ones)
-    claims, residual = lanes.covers(n, adj, ones)
-    more, left, far = lanes.complements(n, adj, residual)
-    assert len(more) <= 1
-    claims.update(more)
+    claims, left, far = lanes.covers(n, adj, ones)
+    assert [lanes.census_key(c) for c in claims].count(COMPLEMENT) <= 1
     more, failed = lanes.lemmas(n, adj, far, left)
     assert not set(more) & set(claims)
     claims.update(more)
@@ -1041,9 +1057,7 @@ def _assert_blocks_match_oracle(n, blocks):
                 counts[got[0]] += 1
                 first[got[0]] = min(first.get(got[0], mask), mask)
         part = lab._Partial()
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(lab, "_COMPLEMENT_MIN_RESIDUAL", 0)
-            lab._tally_lanes(n, "reach", masks, edge_lanes, part)
+        lab._tally_lanes(n, "reach", masks, edge_lanes, part)
         assert {k: part.counts[k] for k in lab.BRANCH_KEYS} == counts
         assert part.first == first
     return keys
@@ -1111,10 +1125,11 @@ def _assert_random_share_matches_oracle(n, samples):
         random_red_mask(n, seed + SEED_STRIDE * i) for i in range(samples))]
     keys = _assert_blocks_match_oracle(n, blocks)
     every = {*LANE_KEYS, COMPLEMENT, *LEMMA_KEYS}
-    if samples >= 300:
+    if samples >= 300 and n <= 16:
         assert {*LANE_KEYS, COMPLEMENT} < keys <= every
     if samples >= 4000:
         assert keys == every
+    return keys
 
 
 @pytest.mark.parametrize("samples", [1, 2, 63, 64, 65, 300])
@@ -1122,9 +1137,14 @@ def test_lane_path_matches_the_oracle_on_n10_random_shares(samples):
     _assert_random_share_matches_oracle(10, samples)
 
 
-@pytest.mark.parametrize("n,samples", [(8, 500), (16, 300), (8, 4000)])
+@pytest.mark.parametrize("n,samples", [
+    (8, 500), (16, 300), (8, 4000), (64, 1), (32, 2000)])
 def test_lane_path_matches_the_oracle_on_n8_and_n16_random_shares(n, samples):
-    _assert_random_share_matches_oracle(n, samples)
+    # n = 64: a one-lane block; n = 32: a block with fewer residual
+    # colorings than vertices, a critical-complement one among them
+    keys = _assert_random_share_matches_oracle(n, samples)
+    if n == 32:
+        assert COMPLEMENT in keys
 
 
 @pytest.mark.parametrize("m,count", [
@@ -1196,8 +1216,9 @@ def test_lane_verifier_rejects_every_forged_complement(n, samples, seed):
     graphs = [from_red_mask(n, mask) for mask in masks]
     ones = (1 << len(masks)) - 1
     adj = lanes.adjacency(n, edge_lanes, ones)
-    claims, residual = lanes.covers(n, adj, ones)
-    ((p, q), found), = lanes.complements(n, adj, residual)[0].items()
+    claims = lanes.covers(n, adj, ones)[0]
+    (p, q), = [c for c in claims if lanes.census_key(c) == COMPLEMENT]
+    found = claims[p, q]
     assert lanes.verify(n, adj, {(p, q): found})[0] == 0
     outcomes = set()
     for claim in _forgeries(n, p, q, found):
@@ -1229,7 +1250,9 @@ def test_lemmas_match_the_case_analysis_on_forged_far_edges(n, samples, seed):
                                             [(0, samples)])
     ones = (1 << len(masks)) - 1
     adj = lanes.adjacency(n, edge_lanes, ones)
-    far = lanes.complements(n, adj, ones)[2]
+    # every lane's far edges, not just those covers keeps
+    far = [[lanes._far(adj[c][u], adj[c][v], ones & ~adj[c][u][v])
+            for u, v in edge_list(n)] for c in COLORS]
     rng = random.Random(seed)
 
     def sparse():
@@ -1301,8 +1324,7 @@ def test_lane_verifier_rejects_every_forged_lemma_claim(n, samples, seed):
     graphs = [from_red_mask(n, mask) for mask in masks]
     ones = (1 << len(masks)) - 1
     adj = lanes.adjacency(n, edge_lanes, ones)
-    _, residual = lanes.covers(n, adj, ones)
-    _, left, far = lanes.complements(n, adj, residual)
+    _, left, far = lanes.covers(n, adj, ones)
     claims, failed = lanes.lemmas(n, adj, far, left)
     assert failed == 0
     assert {lanes.census_key(claim) for claim in claims} == set(LEMMA_KEYS)
@@ -1410,36 +1432,15 @@ def test_scan_searches_alone_the_lanes_that_fail_the_lane_stage1(monkeypatch):
         (FIXTURES / "scan_n10_random_both.txt").read_text()
 
 
-def test_sparse_residual_block_tallies_the_same_by_either_route(monkeypatch):
-    """An n = 32 block has a few residual lanes, too few for the branch-4
-    lane pass; forced through it, they tally the same."""
-    n = 32
-    (masks, edge_lanes), = lab._lane_blocks(n, "random", False, 9,
-                                            [(0, 2000)])
-    keys = [branch_key(solve(from_red_mask(n, m)).certificate) for m in masks]
-    residual = [k for k in keys if k not in LANE_KEYS]
-    assert COMPLEMENT in residual
-    assert not lab._complements_pay(n, len(residual))
-
-    def tally(min_residual):
-        monkeypatch.setattr(lab, "_COMPLEMENT_MIN_RESIDUAL", min_residual)
-        part = lab._Partial()
-        lab._tally_lanes(n, "reach", masks, edge_lanes, part)
-        return part
-
-    assert tally(lab._COMPLEMENT_MIN_RESIDUAL) == tally(0)
-    assert tally(0).counts[COMPLEMENT] == keys.count(COMPLEMENT)
-
-
 def test_scan_counts_lanes_the_verifier_rejects_as_reach_failures(monkeypatch):
     # forge one claim: every whole-1 lane is claimed whole-2 instead
     real = lanes.covers
 
     def forged(n, adj, ones):
-        claims, residual = real(n, adj, ones)
+        claims, left, far = real(n, adj, ones)
         if (RED, None) in claims:
             claims[BLUE, None] = claims.get((BLUE, None), 0) | claims.pop((RED, None))
-        return claims, residual
+        return claims, left, far
 
     clean = scan(6, check="both")
     monkeypatch.setattr(lanes, "covers", forged)
@@ -1459,7 +1460,7 @@ def test_scan_counts_lanes_the_verifier_rejects_as_reach_failures(monkeypatch):
 @pytest.mark.parametrize("n", [lab._LANE_MAX_N, lab._LANE_MAX_N + 2])
 def test_scan_takes_the_lane_path_up_to_its_bound(monkeypatch, n):
     """Above _LANE_MAX_N every coloring is solved one at a time; at the
-    bound only the residual ones are."""
+    bound only a branch-3 one that fails an internal assertion would be."""
     masks = [random_red_mask(n, 5 + SEED_STRIDE * i) for i in range(3)]
     keys = [branch_key(solve(from_red_mask(n, m)).certificate) for m in masks]
     calls = []
@@ -1471,8 +1472,7 @@ def test_scan_takes_the_lane_path_up_to_its_bound(monkeypatch, n):
 
     monkeypatch.setattr(lab, "solve", counting_solve)
     report = scan(n, "random", "reach", samples=3, seed=5)
-    residual = [m for m, k in zip(masks, keys) if k not in LANE_KEYS]
-    assert sorted(calls) == sorted(masks if n > lab._LANE_MAX_N else residual)
+    assert sorted(calls) == sorted(masks if n > lab._LANE_MAX_N else [])
     assert {k: v for k, v in report.branch_counts.items() if v} == \
         {k: keys.count(k) for k in keys}
     assert report.ok
@@ -1480,7 +1480,7 @@ def test_scan_takes_the_lane_path_up_to_its_bound(monkeypatch, n):
 
 def test_pruned_scan_takes_the_lane_path(monkeypatch):
     """A pruned scan tallies its canonical masks a lane block at a time:
-    only the residual ones are solved one at a time."""
+    none of them, the residual ones included, is solved one at a time."""
     n = 6
     classes = symmetry_classes(n)
     keys = [branch_key(solve(from_red_mask(n, m)).certificate)
@@ -1495,7 +1495,7 @@ def test_pruned_scan_takes_the_lane_path(monkeypatch):
     monkeypatch.setattr(lab, "solve", counting_solve)
     report = scan(n, check="reach", prune=True)
     residual = [m for m, k in zip(classes, keys) if k not in LANE_KEYS]
-    assert residual and sorted(calls) == residual
+    assert residual and calls == []
     assert report.reduced_classes == len(classes)
     assert report.ok
 
@@ -1512,10 +1512,10 @@ def test_scan_random_blocks_of_any_size_match_the_golden(monkeypatch, block):
 
 @pytest.mark.parametrize("block", [1, 7, 64, 65])
 def test_scan_lane_pass_on_every_block_matches_the_golden(monkeypatch, block):
-    # the same with the branch-4 lane pass on every block, however sparse
-    # its residual: first.critical-complement is the least lowest lane
+    # the same at n = 16, whose blocks hold few residual colorings, down to
+    # a lone critical-complement or lemma-i lane: first.<key> is the least
+    # lowest lane
     monkeypatch.setattr(lab, "_RANDOM_LANES", block)
-    monkeypatch.setattr(lab, "_COMPLEMENT_MIN_RESIDUAL", 0)
-    report = scan(10, mode="random", check="both", samples=300, seed=2)
+    report = scan(16, mode="random", check="reach", samples=40, seed=4)
     assert report.machine_text() == \
-        (FIXTURES / "scan_n10_random_both.txt").read_text()
+        (FIXTURES / "scan_n16_random_reach.txt").read_text()
