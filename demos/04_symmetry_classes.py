@@ -3,18 +3,15 @@
 Partner-preserving relabelings (permute the n/2 pairs, swap within
 pairs) and the global color swap act on colorings; quantities like
 branch choice, extremal sizes, and diameter-2 coverability are constant
-on each orbit.  Scans can therefore prune to one canonical
-representative per orbit, and failure reports name colorings by their
-canonical form so pruned and unpruned runs agree byte-for-byte.
+on each orbit.  Scan failure reports name colorings by their
+canonical form, so isomorphic failures share one name.
 
 Run:  python3 demos/04_symmetry_classes.py
 """
 
 from partycover import (
-    from_red_mask,
     mask_to_compact,
     random_coloring,
-    scan,
     symmetry_classes,
     symmetry_group_order,
     symmetry_reduce,
@@ -41,13 +38,3 @@ swapped = ColoredCocktail(6, g.blue, g.red)
 print("canonical keys are invariant: a coloring and its color-swap twin")
 print(f"  original:   {symmetry_reduce(g)}")
 print(f"  color swap: {symmetry_reduce(swapped)}")
-print()
-
-print("pruned vs unpruned exhaustive scan at n=6:")
-full = scan(6, mode="exhaustive", check="reach")
-pruned = scan(6, mode="exhaustive", check="reach", prune=True)
-print(f"  full:   examined {full.colorings_scanned} colorings, "
-      f"branch counts sum {sum(full.branch_counts.values())}")
-print(f"  pruned: examined {pruned.reduced_classes} representatives "
-      f"of {pruned.colorings_scanned} colorings")
-print(f"  both clean: {full.ok and pruned.ok}")

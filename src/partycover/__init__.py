@@ -6,7 +6,6 @@ scanning laboratory for the stronger diameter-2 cover question.
 
 from .cover import (
     BRANCH_KEYS,
-    apply_lemma,
     Cover,
     CriticalComplement,
     InternalInconsistencyError,

@@ -107,7 +107,7 @@ def _parse_scan_mode(text: str) -> tuple[str, int | None, int | None]:
 def _cmd_scan(args: argparse.Namespace) -> int:
     mode, samples, seed = _parse_scan_mode(args.mode)
     report = scan(args.n, mode=mode, check=args.check, samples=samples,
-                  seed=seed, prune=args.prune, workers=args.workers)
+                  seed=seed, workers=args.workers)
     sys.stdout.write(report.to_text())
     if args.out:
         Path(args.out).write_text(report.machine_text())
@@ -171,9 +171,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--check", choices=("reach", "diam2", "both"),
                    default="reach")
     p.add_argument("--workers", type=parse_decimal, default=1)
-    p.add_argument("--prune", action="store_true",
-                   help="examine only canonical orbit representatives "
-                        "(exhaustive mode)")
     p.add_argument("--out", metavar="FILE",
                    help="also write the machine-readable report here")
     p.set_defaults(func=_cmd_scan)

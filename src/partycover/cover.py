@@ -48,8 +48,6 @@ from .graphs import (
     vertex_text,
 )
 from .reach import (
-    CriticalPair,
-    dist_le2,
     far_rows,
     is_2reachable_set,
     is_diam2_subset,
@@ -308,36 +306,6 @@ def _first_far_edge(rows: list[int], meets: int) -> tuple[int, int]:
         if hit:
             return u, (hit & -hit).bit_length() - 1
     raise AssertionError("no far pair meets the mask")
-
-
-def apply_lemma(g: ColoredCocktail, e: CriticalPair,
-                f: CriticalPair) -> Cover:
-    """Shared-vertex case analysis on a color-1-critical edge e and a
-    color-2-critical edge f.  Validates the preconditions, including that
-    branch 2 does not apply; solve calls the internal fast path directly."""
-    for name, cp, want in (("e", e, RED), ("f", f, BLUE)):
-        if not isinstance(cp, CriticalPair):
-            raise ValueError(f"{name} must be a CriticalPair, got {cp!r}")
-        if cp.color != want:
-            raise ValueError(f"{name} must be critical in color {want}")
-        if not cp.is_edge:
-            raise ValueError(f"{name} must be an edge, got partner pair "
-                             f"({cp.u}, {cp.v})")
-        if dist_le2(g, cp.color, cp.u, cp.v):
-            raise ValueError(f"{name} is not critical in color {cp.color} "
-                             f"for this coloring")
-        if g.color_of(cp.u, cp.v) != flip(cp.color):
-            raise ValueError(f"{name} does not carry color {flip(cp.color)}")
-    shared = {e.u, e.v} & {f.u, f.v}
-    if len(shared) != 1:
-        raise ValueError(f"e and f must share exactly one vertex, "
-                         f"share {sorted(shared)}")
-    x = shared.pop()
-    for c in COLORS:
-        if not g.adj(c)[x] & g.adj(c)[x ^ 1]:
-            raise ValueError(f"partner pair ({x}, {x ^ 1}) has no common "
-                             f"color-{c} neighbor: branch 2 applies")
-    return _shared_vertex_cover(g, (e.u, e.v), (f.u, f.v))
 
 
 def _shared_vertex_cover(g: ColoredCocktail, e: tuple[int, int],

@@ -4,10 +4,10 @@ The constructive cover guarantees two monochromatic 2-reachable parts,
 whose connecting middles may sit outside the parts.  Whether two parts
 of diameter <= 2 *in the induced sense* always exist is open; this
 module searches for such covers coloring by coloring and scans whole
-coloring spaces, exhaustively or by seeded sampling, with optional
-symmetry pruning and a deterministic machine-readable report.
+coloring spaces, exhaustively or by seeded sampling, with a
+deterministic machine-readable report.
 
-A scan up to n = 64, pruned or not, settles all four of solve's
+A scan up to n = 64 settles all four of solve's
 branches (one color has diameter <= 2 on V; a partner pair is critical
 in one color; a red-critical and a blue-critical edge share a vertex;
 the critical edges of the two colors have disjoint ends) a block of
@@ -23,9 +23,9 @@ Report determinism contract: ``machine_lines`` depends only on the scan
 parameters and the mathematics -- never on worker count or timing -- so
 runs with different ``workers`` values produce byte-identical reports.
 Failure lines name colorings by the compact form of their canonical
-(orbit-minimal) red mask, deduplicated and sorted, so pruned and
-unpruned scans describe failures identically -- up to n = 10: above it
-the orbit tables grow too large, and failures keep their own red mask.
+(orbit-minimal) red mask, deduplicated and sorted, so isomorphic
+failures share one name -- up to n = 10: above it the orbit tables grow
+too large, and failures keep their own red mask.
 """
 
 from __future__ import annotations
@@ -83,13 +83,13 @@ SCAN_MAX_WORKERS = 64
 
 #: Equal sub-ranges per worker in a multi-worker scan.  Worker w takes every
 #: workers-th sub-range from sub-range w, so each one samples the whole index
-#: range -- the costly low masks of a pruned sweep included.
+#: range and the shares cost about the same.
 _SUBRANGES_PER_WORKER = 16
 
 #: Low mask bits an exhaustive lane block spans: 2**16 colorings per block.
 _LANE_BITS = 16
 
-#: Most masks a random or pruned lane block holds.
+#: Most masks a random lane block holds.
 _RANDOM_LANES = 1 << 12
 
 #: Largest n whose scans take the lane path.  A block's two n x n lane
@@ -267,7 +267,7 @@ def _orbit_full_mask(n: int, mask: int) -> int:
 @lru_cache(maxsize=ORBIT_MAX_N // 2)
 def _orbit_full(n: int) -> int:
     """_orbit_full_mask's bound on n and its all-red mask; cached because
-    is_canonical needs it for every mask a pruned scan walks."""
+    symmetry_classes calls is_canonical on every mask of the space."""
     if n > ORBIT_MAX_N:
         raise ValueError(
             f"n={n} exceeds the orbit bound ORBIT_MAX_N={ORBIT_MAX_N} "
@@ -333,7 +333,7 @@ class _Partial:
     """Mergeable per-chunk tallies; all fields are worker-order independent."""
 
     counts: dict[str, int] = field(default_factory=lambda: dict.fromkeys(
-        ("examined", "diam2_found", *BRANCH_KEYS), 0))
+        ("diam2_found", *BRANCH_KEYS), 0))
     first: dict[str, int] = field(default_factory=dict)
     failed: dict[str, set[int]] = field(default_factory=lambda: {
         kind: set() for kind in ("reach", "assertion", "corollary", "diam2")})
@@ -358,11 +358,9 @@ class ScanReport:
     n: int
     mode: str
     check: str
-    prune: bool
     samples: int | None
     seed: int | None
     colorings_scanned: int
-    reduced_classes: int | None
     branch_counts: dict[str, int]
     branch_first: dict[str, str]
     reach_failures: tuple[str, ...]
@@ -393,10 +391,8 @@ class ScanReport:
             lines.append(f"samples={self.samples}")
             lines.append(f"seed={self.seed}")
         lines.append(f"check={self.check}")
-        lines.append(f"prune={'on' if self.prune else 'off'}")
+        lines.append("prune=off")  # v1 keeps the line of an option since removed
         lines.append(f"colorings_scanned={self.colorings_scanned}")
-        if self.prune:
-            lines.append(f"reduced_classes={self.reduced_classes}")
         if self.check in ("reach", "both"):
             for key in BRANCH_KEYS:
                 lines.append(f"branch.{key}={self.branch_counts[key]}")
@@ -425,11 +421,8 @@ class ScanReport:
         what = (f"{self.samples} seeded colorings" if self.mode == "random"
                 else f"all {self.colorings_scanned} colorings")
         head = (f"scan: n={self.n}, {self.mode} over {what}, "
-                f"check={self.check}, prune={'on' if self.prune else 'off'}")
+                f"check={self.check}")
         lines = [head, "-" * len(head)]
-        if self.prune:
-            lines.append("prune group: partner-pair permutations x in-pair "
-                         "swaps x color swap")
         lines.extend(self.machine_lines()[1:])
         for i, reason in enumerate(self.assertion_reasons):
             lines.append(f"failure.assertion.{i}.reason={reason}")
@@ -451,7 +444,6 @@ def _examine(g: ColoredCocktail, mask: int, check: str, part: _Partial) -> None:
     diameter-2 search, whose stage 1 re-checks it rather than trusting it.
     An assertion failure keeps its message.
     """
-    part.counts["examined"] += 1
     try:
         cov = solve(g)
     except InternalInconsistencyError as exc:
@@ -477,7 +469,7 @@ def _examine(g: ColoredCocktail, mask: int, check: str, part: _Partial) -> None:
             part.failed["diam2"].add(mask)
 
 
-def _scan_chunk(n: int, mode: str, check: str, prune: bool, seed: int | None,
+def _scan_chunk(n: int, mode: str, check: str, seed: int | None,
                 ranges: list[tuple[int, int]]) -> _Partial:
     """Tally the colorings of every index range [lo, hi) in ranges.
 
@@ -486,43 +478,41 @@ def _scan_chunk(n: int, mode: str, check: str, prune: bool, seed: int | None,
     """
     part = _Partial()
     if n <= _LANE_MAX_N:
-        for masks, edge_lanes in _lane_blocks(n, mode, prune, seed, ranges):
+        for masks, edge_lanes in _lane_blocks(n, mode, seed, ranges):
             _tally_lanes(n, check, masks, edge_lanes, part)
     else:
-        for mask in _masks(n, mode, prune, seed, ranges):
+        for mask in _masks(n, mode, seed, ranges):
             _examine(from_red_mask(n, mask), mask, check, part)
     return part
 
 
-def _masks(n: int, mode: str, prune: bool, seed: int | None,
+def _masks(n: int, mode: str, seed: int | None,
            ranges: list[tuple[int, int]]) -> Iterator[int]:
     """The red masks of the index ranges: sample i's draw in a random
-    scan, else mask i, which a pruned scan keeps only when canonical."""
+    scan, else mask i."""
     indices = (i for lo, hi in ranges for i in range(lo, hi))
     if mode == "random":
         return (random_red_mask(n, seed + SEED_STRIDE * i) for i in indices)
-    if prune:
-        return (i for i in indices if is_canonical(n, i))
     return indices
 
 
-def _lane_blocks(n: int, mode: str, prune: bool, seed: int | None,
+def _lane_blocks(n: int, mode: str, seed: int | None,
                  ranges: list[tuple[int, int]]
                  ) -> Iterator[tuple[Sequence[int], list[int]]]:
     """(masks, edge_lanes) blocks holding the colorings of the index ranges.
 
     edge_lanes[k] is edge k's lane int: bit i is set when masks[i] colors
     edge k red.  The report depends only on the set of masks, so an
-    unpruned exhaustive range walks masks in index order, as whole blocks
-    of 2**b masks sharing their high bits (b = min(m, _LANE_BITS)) plus at
-    most two partial ones: each low edge is a fixed lane pattern and each
-    high edge all or none.  A random or pruned share (_masks) is taken
-    _RANDOM_LANES masks at a time, each block sorted (so the lowest lane
-    of a set is its smallest mask) and transposed.
+    exhaustive range walks masks in index order, as whole blocks of 2**b
+    masks sharing their high bits (b = min(m, _LANE_BITS)) plus at most
+    two partial ones: each low edge is a fixed lane pattern and each high
+    edge all or none.  A random share (_masks) is taken _RANDOM_LANES
+    masks at a time, each block sorted (so the lowest lane of a set is its
+    smallest mask) and transposed.
     """
     m = num_edges(n)
-    if mode == "random" or prune:
-        share = _masks(n, mode, prune, seed, ranges)
+    if mode == "random":
+        share = _masks(n, mode, seed, ranges)
         while masks := sorted(itertools.islice(share, _RANDOM_LANES)):
             yield masks, lanes.transpose(masks, m)
         return
@@ -556,26 +546,23 @@ def _tally_lanes(n: int, check: str, masks: Sequence[int],
     """
     ones = (1 << len(masks)) - 1
     adj = lanes.adjacency(n, edge_lanes, ones)
-    claims, left, far = lanes.covers(n, adj, ones)
-    more, failed = lanes.lemmas(n, adj, far, left)
+    claims, left, far, q = lanes.covers(n, adj, ones)
+    more, failed = lanes.lemmas(n, adj, far, q, left)
     claims.update(more)
     rejected, small, wide = lanes.verify(n, adj, claims)
-    covered = 0
-    for claim, x in claims.items():
-        covered |= x
-        if check in ("reach", "both"):
+    if check in ("reach", "both"):
+        for claim, x in claims.items():
             key = lanes.census_key(claim)
             part.counts[key] += x.bit_count()
             mask = masks[(x & -x).bit_length() - 1]
             if mask < part.first.get(key, mask + 1):
                 part.first[key] = mask
-    part.counts["examined"] += covered.bit_count()
-    if check in ("reach", "both"):
         part.failed["reach"].update(masks[i] for i in lanes.indices(rejected))
         part.failed["corollary"].update(masks[i] for i in lanes.indices(small))
     if check in ("diam2", "both"):
+        # the claims cover every lane but the failed ones
         alone = rejected | wide
-        part.counts["diam2_found"] += (covered & ~alone).bit_count()
+        part.counts["diam2_found"] += (ones ^ (failed | alone)).bit_count()
         for i in lanes.indices(alone):
             if _diam2_cover(from_red_mask(n, masks[i]), None) is not None:
                 part.counts["diam2_found"] += 1
@@ -655,16 +642,15 @@ def _scan_jobs(args: tuple, jobs: list[list[tuple[int, int]]]) -> _Partial:
 
 def scan(n: int, mode: str = "exhaustive", check: str = "reach",
          samples: int | None = None, seed: int | None = None,
-         prune: bool = False, workers: int = 1,
+         workers: int = 1,
          max_exhaustive_n: int = ENUMERATION_MAX_N) -> ScanReport:
     """Run solve/verify and/or the diameter-2 search over a coloring space.
 
     mode "exhaustive" walks all 2**(n(n-2)/2) colorings (n capped by
     max_exhaustive_n); mode "random" draws ``samples`` colorings from
-    ``seed`` (sample i uses seed + SEED_STRIDE*i).  prune restricts an
-    exhaustive scan to canonical orbit representatives.
+    ``seed`` (sample i uses seed + SEED_STRIDE*i).
 
-    Up to n = 64, pruned or not, the colorings of all four of solve's
+    Up to n = 64 the colorings of all four of solve's
     branches (whole-c, two-stars-c, lemma-* and critical-complement) are
     classified and verified a lane block at a time (_tally_lanes) and
     never reach solve or verify_cover; those whose branch 3 fails an
@@ -694,8 +680,6 @@ def scan(n: int, mode: str = "exhaustive", check: str = "reach",
         raise ValueError(f"workers={workers} exceeds the scan bound "
                          f"SCAN_MAX_WORKERS={SCAN_MAX_WORKERS}")
     if mode == "random":
-        if prune:
-            raise ValueError("prune only applies to exhaustive scans")
         if samples is None or samples < 1:
             raise ValueError("random mode needs samples >= 1")
         if seed is None:
@@ -711,7 +695,7 @@ def scan(n: int, mode: str = "exhaustive", check: str = "reach",
         total = 1 << edges
 
     start = time.monotonic()
-    args = (n, mode, check, prune, seed)
+    args = (n, mode, check, seed)
     if workers == 1:
         merged = _scan_chunk(*args, [(0, total)])
     else:
@@ -731,11 +715,9 @@ def scan(n: int, mode: str = "exhaustive", check: str = "reach",
         n=n,
         mode=mode,
         check=check,
-        prune=prune,
         samples=samples,
         seed=seed,
         colorings_scanned=total,
-        reduced_classes=merged.counts["examined"] if prune else None,
         branch_counts={k: merged.counts[k] for k in BRANCH_KEYS},
         branch_first={k: mask_to_compact(n, v)
                       for k, v in sorted(merged.first.items())},

@@ -98,8 +98,8 @@ def _far(row_u: list[int], row_v: list[int], need: int) -> int:
 
 
 def covers(n: int, adj: dict[int, list[list[int]]], ones: int
-           ) -> tuple[Claims, int, tuple[list[int], ...]]:
-    """solve's branches 1, 2 and 4 on every lane: (claims, left, far).
+           ) -> tuple[Claims, int, tuple[list[int], ...], list[int]]:
+    """solve's branches 1, 2 and 4 on every lane: (claims, left, far, q).
 
     One pass per color c finds, on the lanes still unclaimed with no far
     c partner pair, the lanes where each edge (edge_list order) is far in
@@ -117,7 +117,8 @@ def covers(n: int, adj: dict[int, list[list[int]]], ones: int
     blue.  The residual lanes where no vertex is in both get the one claim
     keyed (p, q), both cut to those lanes: their cover is A = V - p in red
     and B = V - q in blue.  left holds the other residual lanes, whose
-    critical edges share an end (branch 3, see lemmas).
+    critical edges share an end (branch 3, see lemmas), and q is returned
+    uncut for them (empty when no lane is residual).
     """
     pairs = range(0, n, 2)
     edges = edge_list(n)
@@ -128,7 +129,8 @@ def covers(n: int, adj: dict[int, list[list[int]]], ones: int
     far = ([], [])
     rest = ones
     for c, far_c in zip(COLORS, far):
-        table, other, live = adj[c], adj[flip(c)], rest & ~paired[c]
+        table, other = adj[c], adj[flip(c)]
+        live = rest ^ (rest & paired[c])
         if not live:
             continue
         whole = live
@@ -140,15 +142,15 @@ def covers(n: int, adj: dict[int, list[list[int]]], ones: int
             whole ^= whole & x
         if whole:
             claims[c, None] = whole
-            rest &= ~whole
+            rest ^= whole
     for c in COLORS:
         for u, x in zip(pairs, critical[c]):
             x &= rest
             if x:
                 claims[flip(c), u] = x
-                rest &= ~x
+                rest ^= x
     if not rest:
-        return claims, 0, far
+        return claims, 0, far, []
     # a lane with far edges in both passes has no far partner pair and is
     # neither whole-1 nor whole-2: it is residual, so meet needs no cut
     p, q = ([0] * n, [0] * n)
@@ -157,18 +159,20 @@ def covers(n: int, adj: dict[int, list[list[int]]], ones: int
             row[u] |= x
             row[v] |= x
     meet = reduce(or_, [x & y for x, y in zip(p, q)])
-    found = rest & ~meet
+    found = rest ^ meet
     if found:
         claims[tuple(x & found for x in p), tuple(y & found for y in q)] = found
-    return claims, meet, far
+    return claims, meet, far, q
 
 
 def lemmas(n: int, adj: dict[int, list[list[int]]],
-           far: tuple[list[int], ...], left: int) -> tuple[Claims, int]:
+           far: tuple[list[int], ...], blue_ends: list[int],
+           left: int) -> tuple[Claims, int]:
     """solve's branch 3 on the lanes covers leaves: (claims, failed).
 
-    far is covers' per-edge far lanes of the same block.  In each lane e
-    is the first red-critical edge (edge_list order) with an end on a
+    far and blue_ends are covers' per-edge far lanes and its q, the
+    blue far-edge ends per vertex, of the same block.  In each lane e is
+    the first red-critical edge (edge_list order) with an end on a
     blue-critical edge, f the first blue-critical edge through an end of
     e, x their shared end, y the other end of e and q the other end of f,
     as in solve.  xs[v] and ys[v] hold the lanes where x = v and y = v;
@@ -184,47 +188,46 @@ def lemmas(n: int, adj: dict[int, list[list[int]]],
         return {}, 0
     edges = edge_list(n)
     red_far, blue_far = far
-    q_ends = [0] * n
-    for (u, v), x in zip(edges, blue_far):
-        q_ends[u] |= x
-        q_ends[v] |= x
-    e_ends = _first_edge_ends(edges, red_far, q_ends, left)
+    e_ends = _first_edge_ends(edges, red_far, blue_ends, left)
     f_ends = _first_edge_ends(edges, blue_far, e_ends, left)
+    # every lane set below lies in left, so lanes are cleared as x ^ (x & y),
+    # or x ^ y where y lies in x: a complement copies a block-wide negative int
     xs = [e & f for e, f in zip(e_ends, f_ends)]
-    ys = [e & ~f for e, f in zip(e_ends, f_ends)]
+    ys = [e ^ x for e, x in zip(e_ends, xs)]
     xps = [xs[v ^ 1] for v in range(n)]
     yps = [ys[v ^ 1] for v in range(n)]
     # f must end at y': q = v with y = v ^ 1
-    bad = ~reduce(or_, [f & ~e & yp for e, f, yp in zip(e_ends, f_ends, yps)])
+    bad = left ^ reduce(or_, [(f ^ x) & yp
+                              for f, x, yp in zip(f_ends, xs, yps)])
     red, blue = adj[RED], adj[BLUE]
     blue_x, red_x, blue_y = (_neighbors(blue, xs), _neighbors(red, xs),
                              _neighbors(blue, ys))
     red_xp, blue_xp, red_yp = (_neighbors(red, xps), _neighbors(blue, xps),
                                _neighbors(red, yps))
-    x_set = [b & ~y for b, y in zip(blue_x, ys)]
-    y_set = [b & ~(bx | x | xp)
+    x_set = [b ^ (b & y) for b, y in zip(blue_x, ys)]
+    y_set = [b ^ (b & (bx | x | xp))
              for b, bx, x, xp in zip(blue_y, blue_x, xs, xps)]
     # red(x) = Y + {y'} and X lies in red(y').  solve first checks that x,
     # x', y, y', X and Y partition V, which follows from red(x) = Y + {y'}.
     for rx, sx, sy, yp, ryp in zip(red_x, x_set, y_set, yps, red_yp):
-        bad |= rx ^ (sy | yp) | sx & ~ryp
-    ok = left & ~bad
+        bad |= rx ^ (sy | yp) | sx ^ (sx & ryp)
+    ok = left ^ bad
     case_i = ok & reduce(or_, [y & b for y, b in zip(ys, blue_xp)])
-    case_ii = ok & ~case_i & reduce(or_, [yp & r
-                                          for yp, r in zip(yps, red_xp)])
+    case_ii = (ok ^ case_i) & reduce(or_, [yp & r
+                                           for yp, r in zip(yps, red_xp)])
     x1 = [s & r for s, r in zip(x_set, red_xp)]
     x2 = [s & b for s, b in zip(x_set, blue_xp)]
     y1 = [s & r for s, r in zip(y_set, red_xp)]
     y2 = [s & b for s, b in zip(y_set, blue_xp)]
-    rest = ok & ~(case_i | case_ii)
+    rest = ok ^ case_i ^ case_ii
     # x and x' have the common red neighbors y1 and the blue ones x2
     common = reduce(or_, y1) & reduce(or_, x2)
-    bad |= rest & ~common
+    bad |= rest ^ (rest & common)
     rest &= common
-    case_iii = rest & ~reduce(or_, x1)
-    rest &= ~case_iii
-    case_vi = rest & ~reduce(or_, y2)
-    c5plus = rest & ~case_vi
+    case_iii = rest ^ (rest & reduce(or_, x1))
+    rest ^= case_iii
+    case_vi = rest ^ (rest & reduce(or_, y2))
+    c5plus = rest ^ case_vi
     # the two 5-part blowups: x, y, Y2, x', X2 in blue, x, y', X1, x', Y1 in red
     part_a = [x | y | xp | s | t for x, y, xp, s, t in zip(xs, ys, xps, y2, x2)]
     part_b = [x | y | xp | s | t for x, y, xp, s, t in zip(xs, yps, xps, x1, y1)]
@@ -238,7 +241,7 @@ def lemmas(n: int, adj: dict[int, list[list[int]]],
         if found:
             claims[key, color_a, tuple(v & found for v in a),
                    color_b, tuple(v & found for v in b)] = found
-    return claims, left & bad
+    return claims, bad
 
 
 def _first_edge_ends(edges: tuple[tuple[int, int], ...], far: list[int],
@@ -252,7 +255,7 @@ def _first_edge_ends(edges: tuple[tuple[int, int], ...], far: list[int],
         if hit:
             ends[u] |= hit
             ends[v] |= hit
-            lanes &= ~hit
+            lanes ^= hit
             if not lanes:
                 break
     return ends
@@ -309,15 +312,16 @@ def verify(n: int, adj: dict[int, list[list[int]]],
             star_u, star_v = adj[c][u], adj[c][u + 1]
             for w in range(n):
                 if w >> 1 != u >> 1:
-                    rejected |= lanes & ~(star_u[w] | star_v[w])
+                    rejected |= lanes ^ (lanes & (star_u[w] | star_v[w]))
             # a closed star of n/2 vertices: its center and n/2 - 1 neighbors
-            small |= lanes & ~(_at_least(star_u, half - 1)
-                               | _at_least(star_v, half - 1))
+            small |= lanes ^ (lanes & (_at_least(star_u, half - 1)
+                                       | _at_least(star_v, half - 1)))
             continue
         if key == "critical-complement":
             p, q = claim
             colors = (RED, BLUE)
-            a, b = [lanes & ~x for x in p], [lanes & ~y for y in q]
+            a, b = ([lanes ^ (lanes & x) for x in p],
+                    [lanes ^ (lanes & y) for y in q])
         else:
             _, color_a, a, color_b, b = claim
             colors = (color_a, color_b)
@@ -339,8 +343,8 @@ def verify(n: int, adj: dict[int, list[list[int]]],
                 stars.append(members)
             a, b = stars
         for x, y in zip(a, b):
-            rejected |= lanes & ~(x | y)
-        small |= lanes & ~(_at_least(a, half) | _at_least(b, half))
+            rejected |= lanes ^ (lanes & (x | y))
+        small |= lanes ^ (lanes & (_at_least(a, half) | _at_least(b, half)))
     return rejected, small, wide
 
 
@@ -359,20 +363,21 @@ def _unreached(table: list[list[int]], members: list[int],
     for s in range(n):
         row_s, here = table[s], members[s]
         for t in range(s + 1, n):
-            miss = here & members[t] & ~row_s[t]
+            miss = here & members[t]
+            miss ^= miss & row_s[t]  # no complement, as in _far
             if not miss:
                 continue
             row_t = table[t]
             if in_set:
                 for x, y, m in zip(row_s, row_t, members):
-                    miss &= ~(x & y & m)
+                    miss ^= miss & x & y & m
                     if not miss:
                         break
                 out |= miss
             for x, y in zip(row_s, row_t):
                 if not miss:
                     break
-                miss &= ~(x & y)
+                miss ^= miss & x & y
             far |= miss
     return far, out
 

@@ -175,6 +175,13 @@ def test_scan_bad_n_is_usage_error(capsys):
     assert "even" in capsys.readouterr().err
 
 
+def test_scan_has_no_prune_option(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["scan", "--n", "4", "--prune"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --prune" in capsys.readouterr().err
+
+
 def test_verify_ok_and_tampered(tmp_path, capsys):
     gpath = tmp_path / "g.txt"
     gpath.write_text(serialize(all_red(4)))

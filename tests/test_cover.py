@@ -3,7 +3,6 @@
 import dataclasses
 import io
 import pickle
-import random
 
 import pytest
 from hypothesis import given, settings
@@ -17,12 +16,10 @@ from partycover.cover import (
     CriticalComplement,
     InternalInconsistencyError,
     LemmaC5Plus,
-    LemmaStars,
     LemmaWitness,
     TwoStars,
     WholeVertexSet,
     _shared_vertex_cover,
-    apply_lemma,
     branch_key,
     check_cover,
     format_cover,
@@ -40,11 +37,9 @@ from partycover.graphs import (
     enumerate_colorings,
     from_compact,
     from_red_mask,
-    num_edges,
     vertex_list,
     vertex_mask,
 )
-from partycover.reach import CriticalPair, critical_pairs
 
 
 def test_solve_all_red():
@@ -233,64 +228,6 @@ def test_c5plus_certificate_needs_exactly_five_parts():
         "certificate mismatch"
 
 
-# --- apply_lemma: the public entry to the shared-vertex case analysis
-
-
-def _first_shared_pair(g):
-    blue_crit = [f for f in critical_pairs(g, BLUE) if f.is_edge]
-    for e in critical_pairs(g, RED):
-        for f in blue_crit:
-            if e.is_edge and {e.u, e.v} & {f.u, f.v}:
-                return e, f
-    raise AssertionError("no shared-vertex pair")
-
-
-def test_apply_lemma_matches_solve():
-    """solve's branch-3 pair is the first (e, f) in lexicographic
-    nested-loop order: on the census's first coloring of each live lemma
-    key and on the seeded uniform n = 8, 10 and 16 colorings that reach
-    branch 3.  No n = 6 coloring does; the census's smallest lemma order
-    is 8."""
-    graphs = [from_compact(compact) for compact in (
-        "8:6f0300", "8:3b0300", "8:6b2310", "8:ab1310", "8:1b5310")]
-    for n, tries in ((8, 600), (10, 600), (16, 3000)):
-        rng = random.Random(n)
-        graphs += [from_red_mask(n, rng.getrandbits(num_edges(n)))
-                   for _ in range(tries)]
-    keys = []
-    for g in graphs:
-        cov = solve(g)
-        if isinstance(cov.certificate, (LemmaStars, LemmaC5Plus)):
-            e, f = _first_shared_pair(g)
-            assert apply_lemma(g, e, f) == cov
-            keys.append(cov.certificate.key)
-    assert set(keys) == {"lemma-i", "lemma-ii", "lemma-iii", "lemma-vi",
-                         "lemma-c5plus"}
-    assert len(keys) > 100
-
-
-def test_apply_lemma_rejects_bad_inputs():
-    g = from_compact("8:6f0300")
-    e, f = _first_shared_pair(g)
-    with pytest.raises(ValueError, match="must be a CriticalPair"):
-        apply_lemma(g, (e.u, e.v), f)
-    with pytest.raises(ValueError, match="critical in color 1"):
-        apply_lemma(g, f, e)  # colors swapped
-    with pytest.raises(ValueError, match="must be an edge"):
-        apply_lemma(g, CriticalPair(0, 1, RED, is_edge=False), f)
-    # (0,2) carries blue here but red-reaches in two steps: not critical
-    with pytest.raises(ValueError, match="not critical"):
-        apply_lemma(g, CriticalPair(0, 2, RED, is_edge=True), f)
-
-
-def test_apply_lemma_rejects_disjoint_edges():
-    g = from_compact("6:743")
-    e = CriticalPair(1, 3, RED, is_edge=True)
-    f = CriticalPair(0, 2, BLUE, is_edge=True)
-    with pytest.raises(ValueError, match="share exactly one vertex"):
-        apply_lemma(g, e, f)
-
-
 #: Colorings with a red-critical edge e and a blue-critical edge f sharing
 #: a vertex whose partner pair lacks a common neighbor in one color, so
 #: branch 2 applies and the shared-vertex lemma does not.
@@ -298,15 +235,6 @@ BRANCH2_WITNESSES = [
     ("8:a61f8d", (0, 4), (0, 5)),
     ("8:e316dc", (2, 4), (3, 4)),
 ]
-
-
-@pytest.mark.parametrize("compact,e,f", BRANCH2_WITNESSES)
-def test_apply_lemma_rejects_when_branch2_applies(compact, e, f):
-    g = from_compact(compact)
-    e = CriticalPair(*e, RED, is_edge=True)
-    f = CriticalPair(*f, BLUE, is_edge=True)
-    with pytest.raises(ValueError, match="no common color-. neighbor"):
-        apply_lemma(g, e, f)
 
 
 @pytest.mark.parametrize("compact,e,f", BRANCH2_WITNESSES)

@@ -353,7 +353,7 @@ def test_symmetry_classes_bound():
     (dict(n=4, check="everything"), "check"),
     (dict(n=12, check="diam2"), "needs n <= 10"),
     (dict(n=4, workers=0), "workers"),
-    (dict(n=4, mode="random", samples=5, seed=1, prune=True), "prune"),
+    (dict(n=4, mode="random", samples=0, seed=1), "samples"),
     (dict(n=4, mode="random", seed=1), "samples"),
     (dict(n=4, mode="random", samples=5), "seed"),
     (dict(n=4, samples=5), "only apply to random"),
@@ -407,13 +407,13 @@ def test_scan_n6_matches_fixture():
 
 
 @pytest.mark.parametrize("kwargs,fixture", [
-    (dict(n=6, check="both", prune=True), "scan_n6_both_pruned.txt"),
+    (dict(n=6), "scan_n6_reach.txt"),
     (dict(n=10, mode="random", check="both", samples=300, seed=2),
      "scan_n10_random_both.txt"),
     (dict(n=10, mode="random", check="both", samples=300, seed=2, workers=2),
      "scan_n10_random_both.txt"),
-    (dict(n=6, check="both", prune=True, workers=2), "scan_n6_both_pruned.txt"),
-    (dict(n=6, check="both", prune=True, workers=3), "scan_n6_both_pruned.txt"),
+    (dict(n=6, workers=2), "scan_n6_reach.txt"),
+    (dict(n=6, workers=3), "scan_n6_reach.txt"),
     (dict(n=10, mode="random", check="both", samples=300, seed=2, workers=3),
      "scan_n10_random_both.txt"),
     (dict(n=8, mode="random", check="both", samples=20000, seed=5),
@@ -433,12 +433,17 @@ def test_scan_report_goldens(kwargs, fixture):
 
 
 @pytest.mark.heavy
-def test_scan_n8_pruned_report_golden():
-    # the 24 607 n = 8 classes fire every live branch, lemma-* included,
-    # which no n = 6 class reaches
-    report = scan(8, check="both", prune=True, workers=2)
-    assert report.machine_text() == \
-        (FIXTURES / "scan_n8_both_pruned.txt").read_text()
+def test_scan_n8_both_report_golden():
+    # every one of the 2**24 n = 8 colorings has a diameter-2 cover, and
+    # the census is that of the reach sweep
+    golden = (FIXTURES / "scan_n8_both.txt").read_text()
+    assert scan(8, check="both", workers=2).machine_text() == golden
+    census = [line for line in golden.splitlines()
+              if line.startswith(("branch.", "first."))]
+    assert census == [
+        line for line in (FIXTURES / "scan_n8_reach.txt").read_text().splitlines()
+        if line.startswith(("branch.", "first."))]
+    assert "diam2_cover_found=16777216\ndiam2_failures=0\n" in golden
 
 
 def _failing_masks(n, samples, seed):
@@ -466,13 +471,14 @@ def _examine_every_residual(monkeypatch):
     real = lanes.covers
 
     def covers(n, adj, ones):
-        claims, left, far = real(n, adj, ones)
+        claims, left, far, q = real(n, adj, ones)
         for claim in [c for c in claims if lanes.census_key(c) == COMPLEMENT]:
             left |= claims.pop(claim)
-        return claims, left, far
+        return claims, left, far, q
 
     monkeypatch.setattr(lanes, "covers", covers)
-    monkeypatch.setattr(lanes, "lemmas", lambda n, adj, far, left: ({}, left))
+    monkeypatch.setattr(lanes, "lemmas",
+                        lambda n, adj, far, q, left: ({}, left))
 
 
 def _reject_every_cover(monkeypatch):
@@ -519,7 +525,7 @@ def test_scan_report_goldens_under_start_method(monkeypatch, method):
     ctx = multiprocessing.get_context(method)
     monkeypatch.setattr(lab.multiprocessing, "get_context", lambda _: ctx)
     for kwargs, fixture in [
-        (dict(n=6, check="both", prune=True), "scan_n6_both_pruned.txt"),
+        (dict(n=6), "scan_n6_reach.txt"),
         (dict(n=10, mode="random", check="both", samples=300, seed=2),
          "scan_n10_random_both.txt"),
     ]:
@@ -744,8 +750,8 @@ def _returns_within(seconds):
 
 
 def _first_residual_mask_of_job(n, workers, job):
-    """The lowest residual mask of a job's share: an unpruned exhaustive
-    scan walks each sub-range in index order."""
+    """The lowest residual mask of a job's share: an exhaustive scan walks
+    each sub-range in index order."""
     return min(m for lo, hi in lab._split(1 << num_edges(n), workers)[job]
                for m in range(lo, hi) if _is_residual(n, m))
 
@@ -900,15 +906,6 @@ def test_scan_n2_random():
     assert report.ok
 
 
-def test_scan_prune_visits_one_representative_per_class():
-    report = scan(6, prune=True)
-    assert report.colorings_scanned == 4096
-    assert report.reduced_classes == 76
-    assert sum(report.branch_counts.values()) == 76
-    assert report.ok
-    assert "reduced_classes=76" in report.machine_lines()
-
-
 def test_scan_diam2_modes():
     r4 = scan(4, check="diam2")
     assert r4.diam2_cover_found == 16
@@ -937,15 +934,13 @@ def test_to_text_extras():
     assert "branches never fired at this n: lemma-i lemma-ii" in text
     assert "wall_time=" in text and "workers=1" in text
     assert text.rstrip().endswith("result=ok")
-    pruned = scan(4, prune=True).to_text()
-    assert "prune group: partner-pair permutations" in pruned
 
 
 def test_failed_report_formatting():
     # a hand-built report with a failure: the ok flag and result line flip
     report = ScanReport(
-        n=4, mode="exhaustive", check="reach", prune=False, samples=None,
-        seed=None, colorings_scanned=16, reduced_classes=None,
+        n=4, mode="exhaustive", check="reach", samples=None, seed=None,
+        colorings_scanned=16,
         branch_counts=dict.fromkeys(
             ("whole-1", "whole-2", "two-stars-1", "two-stars-2", "lemma-i",
              "lemma-ii", "lemma-iii", "lemma-iv", "lemma-v", "lemma-vi",
@@ -997,9 +992,9 @@ def _lane_outcomes(n, masks, edge_lanes):
     _lemma_parts's colors and centers or parts for lemma-*."""
     ones = (1 << len(masks)) - 1
     adj = lanes.adjacency(n, edge_lanes, ones)
-    claims, left, far = lanes.covers(n, adj, ones)
+    claims, left, far, q = lanes.covers(n, adj, ones)
     assert [lanes.census_key(c) for c in claims].count(COMPLEMENT) <= 1
-    more, failed = lanes.lemmas(n, adj, far, left)
+    more, failed = lanes.lemmas(n, adj, far, q, left)
     assert not set(more) & set(claims)
     claims.update(more)
     rejected, small, wide = lanes.verify(n, adj, claims)
@@ -1066,8 +1061,7 @@ def _assert_blocks_match_oracle(n, blocks):
 @pytest.mark.parametrize("n", [2, 4, 6])
 def test_lane_path_matches_the_oracle_on_every_coloring(n):
     total = 1 << num_edges(n)
-    blocks = list(lab._lane_blocks(n, "exhaustive", False, None,
-                                   [(0, total)]))
+    blocks = list(lab._lane_blocks(n, "exhaustive", None, [(0, total)]))
     assert [list(masks) for masks, _ in blocks] == [list(range(total))]
     keys = _assert_blocks_match_oracle(n, blocks)
     # n = 6 is the smallest order with a critical-complement coloring, and
@@ -1097,7 +1091,7 @@ def test_lane_path_matches_the_oracle_on_n8_blocks():
         lo = rng.getrandbits(24 - 1)
         ranges.append((lo, lo + rng.randrange(1, 400)))
     ranges.append((high + (5 << 16) - 150, high + (5 << 16) + 250))
-    blocks = list(lab._lane_blocks(8, "exhaustive", False, None, ranges))
+    blocks = list(lab._lane_blocks(8, "exhaustive", None, ranges))
     assert len(blocks) == 6
     assert [m for masks, _ in blocks for m in masks] == \
         [m for lo, hi in ranges for m in range(lo, hi)]
@@ -1107,11 +1101,14 @@ def test_lane_path_matches_the_oracle_on_n8_blocks():
 
 @pytest.mark.parametrize("n,hi", [(6, 1 << 12), (8, 1 << 16)])
 def test_lane_path_matches_the_oracle_on_pruned_blocks(n, hi):
-    # a pruned share is its canonical masks, a sorted block at a time
-    blocks = list(lab._lane_blocks(n, "exhaustive", True, None, [(0, hi)]))
-    assert [m for masks, _ in blocks for m in masks] == \
-        [m for m in range(hi) if is_canonical(n, m)]
-    keys = _assert_blocks_match_oracle(n, blocks)
+    # one sparse sorted block: the canonical masks below hi, one per class
+    # at n = 6, transposed as a random share is
+    masks = [m for m in range(hi) if is_canonical(n, m)]
+    assert len(masks) <= lab._RANDOM_LANES
+    if n == 6:
+        assert masks == symmetry_classes(n)
+    keys = _assert_blocks_match_oracle(
+        n, [(masks, lanes.transpose(masks, num_edges(n)))])
     # the color swap leaves no whole-1 class at n = 6
     assert keys == {6: {"whole-2", "two-stars-1", "two-stars-2", COMPLEMENT},
                     8: {*LANE_KEYS, COMPLEMENT, "lemma-i", "lemma-ii"}}[n]
@@ -1119,8 +1116,7 @@ def test_lane_path_matches_the_oracle_on_pruned_blocks(n, hi):
 
 def _assert_random_share_matches_oracle(n, samples):
     seed = 1000 + samples
-    blocks = list(lab._lane_blocks(n, "random", False, seed,
-                                   [(0, samples)]))
+    blocks = list(lab._lane_blocks(n, "random", seed, [(0, samples)]))
     assert [masks for masks, _ in blocks] == [sorted(
         random_red_mask(n, seed + SEED_STRIDE * i) for i in range(samples))]
     keys = _assert_blocks_match_oracle(n, blocks)
@@ -1165,7 +1161,7 @@ def test_lane_verifier_rejects_every_forged_cover():
     n/2 vertices: a wrong key or a wrong pair is caught."""
     n = 6
     full = (1 << n) - 1
-    (masks, edge_lanes), = lab._lane_blocks(n, "exhaustive", False, None,
+    (masks, edge_lanes), = lab._lane_blocks(n, "exhaustive", None,
                                             [(0, 1 << num_edges(n))])
     graphs = [from_red_mask(n, mask) for mask in masks]
     ones = (1 << len(masks)) - 1
@@ -1211,7 +1207,7 @@ def test_lane_verifier_rejects_every_forged_complement(n, samples, seed):
     """The verifier rejects a forged critical-complement lane exactly when
     check_cover rejects its cover, flags it small exactly when neither part
     has n/2 vertices, and wide exactly when a part fails is_diam2_subset."""
-    (masks, edge_lanes), = lab._lane_blocks(n, "random", False, seed,
+    (masks, edge_lanes), = lab._lane_blocks(n, "random", seed,
                                             [(0, samples)])
     graphs = [from_red_mask(n, mask) for mask in masks]
     ones = (1 << len(masks)) - 1
@@ -1246,7 +1242,7 @@ def test_lemmas_match_the_case_analysis_on_forged_far_edges(n, samples, seed):
     case analysis of cover._shared_vertex_cover on the edges solve would
     pick from the same far edges: the same lanes fail, with every one of
     its assertions firing somewhere, and the others get the same claim."""
-    (masks, edge_lanes), = lab._lane_blocks(n, "random", False, seed,
+    (masks, edge_lanes), = lab._lane_blocks(n, "random", seed,
                                             [(0, samples)])
     ones = (1 << len(masks)) - 1
     adj = lanes.adjacency(n, edge_lanes, ones)
@@ -1268,7 +1264,7 @@ def test_lemmas_match_the_case_analysis_on_forged_far_edges(n, samples, seed):
     meet = 0
     for x, y in zip(*ends):
         meet |= x & y
-    claims, failed = lanes.lemmas(n, adj, forged, meet)
+    claims, failed = lanes.lemmas(n, adj, forged, ends[1], meet)
     got = dict.fromkeys(lanes.indices(failed))
     for claim, x in claims.items():
         got.update({i: (claim[0], detail)
@@ -1319,13 +1315,13 @@ def test_lane_verifier_rejects_every_forged_lemma_claim(n, samples, seed):
     """The verifier rejects a forged lemma-* lane exactly when check_cover
     rejects its cover, flags it small exactly when neither part has n/2
     vertices, and wide exactly when a part fails is_diam2_subset."""
-    (masks, edge_lanes), = lab._lane_blocks(n, "random", False, seed,
+    (masks, edge_lanes), = lab._lane_blocks(n, "random", seed,
                                             [(0, samples)])
     graphs = [from_red_mask(n, mask) for mask in masks]
     ones = (1 << len(masks)) - 1
     adj = lanes.adjacency(n, edge_lanes, ones)
-    _, left, far = lanes.covers(n, adj, ones)
-    claims, failed = lanes.lemmas(n, adj, far, left)
+    _, left, far, q = lanes.covers(n, adj, ones)
+    claims, failed = lanes.lemmas(n, adj, far, q, left)
     assert failed == 0
     assert {lanes.census_key(claim) for claim in claims} == set(LEMMA_KEYS)
     assert lanes.verify(n, adj, claims) == (0, 0, 0)
@@ -1361,8 +1357,8 @@ def test_scan_examines_the_lanes_lemmas_reports_failing(monkeypatch):
     real_lemmas, real_solve = lanes.lemmas, lab.solve
     moved_keys = ("lemma-i", "lemma-c5plus")
 
-    def failing_lemmas(n, adj, far, left):
-        claims, failed = real_lemmas(n, adj, far, left)
+    def failing_lemmas(n, adj, far, q, left):
+        claims, failed = real_lemmas(n, adj, far, q, left)
         for claim in [c for c in claims if c[0] in moved_keys]:
             failed |= claims.pop(claim)
         return claims, failed
@@ -1437,10 +1433,10 @@ def test_scan_counts_lanes_the_verifier_rejects_as_reach_failures(monkeypatch):
     real = lanes.covers
 
     def forged(n, adj, ones):
-        claims, left, far = real(n, adj, ones)
+        claims, left, far, q = real(n, adj, ones)
         if (RED, None) in claims:
             claims[BLUE, None] = claims.get((BLUE, None), 0) | claims.pop((RED, None))
-        return claims, left, far
+        return claims, left, far, q
 
     clean = scan(6, check="both")
     monkeypatch.setattr(lanes, "covers", forged)
@@ -1475,28 +1471,6 @@ def test_scan_takes_the_lane_path_up_to_its_bound(monkeypatch, n):
     assert sorted(calls) == sorted(masks if n > lab._LANE_MAX_N else [])
     assert {k: v for k, v in report.branch_counts.items() if v} == \
         {k: keys.count(k) for k in keys}
-    assert report.ok
-
-
-def test_pruned_scan_takes_the_lane_path(monkeypatch):
-    """A pruned scan tallies its canonical masks a lane block at a time:
-    none of them, the residual ones included, is solved one at a time."""
-    n = 6
-    classes = symmetry_classes(n)
-    keys = [branch_key(solve(from_red_mask(n, m)).certificate)
-            for m in classes]
-    calls = []
-    real = lab.solve
-
-    def counting_solve(g):
-        calls.append(g.red_mask())
-        return real(g)
-
-    monkeypatch.setattr(lab, "solve", counting_solve)
-    report = scan(n, check="reach", prune=True)
-    residual = [m for m, k in zip(classes, keys) if k not in LANE_KEYS]
-    assert residual and calls == []
-    assert report.reduced_classes == len(classes)
     assert report.ok
 
 
