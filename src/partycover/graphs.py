@@ -80,6 +80,14 @@ def _check_pair(n: int, u: int, v: int) -> None:
         raise ValueError(f"invalid pair ({u}, {v}) for n={n}")
 
 
+def _check_red_mask(n: int, mask: int, limit: int = 0) -> None:
+    """The one home of the red-mask rule: ValueError unless 0 <= mask <
+    2**num_edges(n); a caller that has that bound cached passes it as
+    limit."""
+    if not 0 <= mask < (limit or 1 << num_edges(n)):
+        raise ValueError(f"red mask {mask:#x} out of range for n={n}")
+
+
 def num_edges(n: int) -> int:
     """Number of edges of the cocktail party graph: n(n-2)/2.
 
@@ -275,8 +283,7 @@ def from_red_mask(n: int, mask: int) -> ColoredCocktail:
     whole matrix at once (Warren, *Hacker's Delight*, section 7-3).
     """
     runs, steps, rows, others, limit = _red_mask_plan(n)
-    if not 0 <= mask < limit:
-        raise ValueError(f"red mask {mask:#x} out of range for n={n}")
+    _check_red_mask(n, mask, limit)
     upper = 0
     for keep, at, length in runs:
         upper |= (mask & keep) << at
@@ -368,6 +375,7 @@ def to_compact(g: ColoredCocktail) -> str:
 
 def mask_to_compact(n: int, mask: int) -> str:
     """Compact form of a red-edge bitmask without building the graph."""
+    _check_red_mask(n, mask)
     digits = (num_edges(n) + 3) // 4
     return f"{n}:" + "".join([format(mask >> 4 * i & 15, "x") for i in range(digits)])
 

@@ -54,6 +54,7 @@ from .graphs import (
     ENUMERATION_MAX_N,
     RED,
     ColoredCocktail,
+    _check_red_mask,
     edge_list,
     from_red_mask,
     mask_to_compact,
@@ -255,19 +256,11 @@ def _relabeled_masks(n: int, mask: int) -> Iterator[int]:
     return itertools.repeat(0, len(tables))  # n = 2: no edges
 
 
-def _orbit_full_mask(n: int, mask: int) -> int:
-    """All-red mask of order n, for the orbit functions: refuses n > ORBIT_MAX_N
-    and a red mask out of range."""
-    full = _orbit_full(n)
-    if not 0 <= mask <= full:
-        raise ValueError(f"red mask {mask:#x} out of range for n={n}")
-    return full
-
-
 @lru_cache(maxsize=ORBIT_MAX_N // 2)
 def _orbit_full(n: int) -> int:
-    """_orbit_full_mask's bound on n and its all-red mask; cached because
-    symmetry_classes calls is_canonical on every mask of the space."""
+    """All-red mask of order n, for the orbit functions: refuses n >
+    ORBIT_MAX_N; cached because symmetry_classes calls is_canonical on
+    every mask of the space."""
     if n > ORBIT_MAX_N:
         raise ValueError(
             f"n={n} exceeds the orbit bound ORBIT_MAX_N={ORBIT_MAX_N} "
@@ -280,7 +273,8 @@ def canonical_red_mask(n: int, mask: int) -> int:
 
     Refuses n > ORBIT_MAX_N.
     """
-    full = _orbit_full_mask(n, mask)
+    full = _orbit_full(n)
+    _check_red_mask(n, mask, full + 1)
     images = list(_relabeled_masks(n, mask))
     # full - image is the image's color swap, smallest for the largest image
     return min(min(images), full - max(images))
@@ -288,7 +282,8 @@ def canonical_red_mask(n: int, mask: int) -> int:
 
 def is_canonical(n: int, mask: int) -> bool:
     """Is this red mask the smallest in its orbit?  Refuses n > ORBIT_MAX_N."""
-    full = _orbit_full_mask(n, mask)
+    full = _orbit_full(n)
+    _check_red_mask(n, mask, full + 1)
     swapped = full - mask
     if swapped < mask:  # the color swap alone settles half of all masks
         return False
@@ -533,26 +528,24 @@ def _tally_lanes(n: int, check: str, masks: Sequence[int],
     """Tally one lane block: the lane path for all four branches, _examine
     for the colorings it leaves.
 
-    lanes.covers settles branches 1, 2 and 4 and hands its far edges to
-    lanes.lemmas, which settles branch 3 on the lanes left.  A claimed
-    cover the lane verifier rejects is a reach failure, and its coloring
-    goes to the diameter-2 search alone.  One it accepts counts as a
-    diameter-2 cover too when both parts pass the lane stage 1 (V in a
-    whole-c lane and any closed star always do); a critical-complement or
+    lanes.covers claims a cover for each lane, or reports it failed, and
+    lanes.verify re-derives every claimed cover.  A claimed cover the
+    lane verifier rejects is a reach failure, and its coloring goes to
+    the diameter-2 search alone.  One it accepts counts as a diameter-2
+    cover too when both parts pass the lane stage 1 (V in a whole-c lane
+    and any closed star always do); a critical-complement or
     lemma-c5plus coloring that fails it also goes to the search alone,
-    whose answer does not depend on the stage 1 it skips.  Only the lanes
-    where branch 3 fails an internal assertion go to _examine, which
-    reports its message.
+    whose answer does not depend on the stage 1 it skips.  Only the
+    failed lanes, where branch 3 fails an internal assertion, go to
+    _examine, which reports its message.
     """
     ones = (1 << len(masks)) - 1
     adj = lanes.adjacency(n, edge_lanes, ones)
-    claims, left, far, q = lanes.covers(n, adj, ones)
-    more, failed = lanes.lemmas(n, adj, far, q, left)
-    claims.update(more)
+    claims, failed = lanes.covers(n, adj, ones)
     rejected, small, wide = lanes.verify(n, adj, claims)
     if check in ("reach", "both"):
         for claim, x in claims.items():
-            key = lanes.census_key(claim)
+            key = claim[0]
             part.counts[key] += x.bit_count()
             mask = masks[(x & -x).bit_length() - 1]
             if mask < part.first.get(key, mask + 1):

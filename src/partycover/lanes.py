@@ -6,11 +6,12 @@ has bit i set when coloring i colors that edge red.  ``covers`` settles
 branch 1 (one color has diameter <= 2 on V), branch 2 (a partner pair is
 critical in one color) and branch 4 (the critical edges of the two
 colors have disjoint ends) for every lane at once, from one far-edge
-pass per color; ``lemmas`` settles branch 3 (a red-critical and a
-blue-critical edge share a vertex) on the lanes left, from the same far
-edges, and ``verify`` re-derives each cover they claim from the edge
-lanes.  The lanes where branch 3 would raise InternalInconsistencyError
-are left to solve.
+pass per color, and hands the lanes left to ``lemmas``, which settles
+branch 3 (a red-critical and a blue-critical edge share a vertex) from
+the same far edges.  Each claim names two monochromatic parts, and
+``verify`` re-derives every claimed cover from the edge lanes.  The
+lanes where branch 3 would raise InternalInconsistencyError are left to
+solve.
 """
 
 from __future__ import annotations
@@ -20,12 +21,17 @@ from operator import or_
 
 from .graphs import BLUE, COLORS, RED, _block_swap_steps, edge_list, flip
 
-#: Claimed covers: each key maps to the lanes it covers.  (c, None) is
-#: whole-c, (c, u) two-stars-c at the partner pair (u, u + 1), (p, q)
-#: critical-complement, with p and q tuples of one lane int per vertex,
-#: and (key, color_a, a, color_b, b) a lemma-* cover: a and b are one-hot
-#: star centers, or under lemma-c5plus the parts' members, per vertex.
+#: Claimed covers: each claim (key, color_a, a, color_b, b) maps to the
+#: lanes it covers, where key is solve's census key and the cover is part
+#: a in color_a with part b in color_b.  a and b hold one lane int per
+#: vertex, cut to the claim's lanes: under a key in _STARS the part's
+#: one-hot center, whose closed star is the part, and otherwise the
+#: part's members (whole-c: V and the empty set).
 Claims = dict[tuple, int]
+
+#: The census keys whose claims name star centers.
+_STARS = frozenset({"two-stars-1", "two-stars-2", "lemma-i", "lemma-ii",
+                    "lemma-iii", "lemma-vi"})
 
 
 @lru_cache(maxsize=1)
@@ -98,27 +104,25 @@ def _far(row_u: list[int], row_v: list[int], need: int) -> int:
 
 
 def covers(n: int, adj: dict[int, list[list[int]]], ones: int
-           ) -> tuple[Claims, int, tuple[list[int], ...], list[int]]:
-    """solve's branches 1, 2 and 4 on every lane: (claims, left, far, q).
+           ) -> tuple[Claims, int]:
+    """solve's four branches on every lane: (claims, failed).
 
     One pass per color c finds, on the lanes still unclaimed with no far
     c partner pair, the lanes where each edge (edge_list order) is far in
-    c; far keeps them per color, an empty list where no lane needs the
-    pass.  A claim (c, None) holds the whole-c lanes, those with no far c
-    edge either, whose cover is V in color c.
-    A claim (c, u) holds two-stars-c lanes covered by the closed c-stars
-    of the partner pair (u, u + 1).  As in solve, color 1 is tried before
-    color 2 in each branch, and a lane's pair is its first partner pair
-    (u ascending) with no common neighbor in the other color.
+    c.  The whole-c claim holds the lanes with no far c edge either,
+    whose cover is V in color c.  A two-stars-c claim holds the lanes
+    covered by the closed c-stars of one partner pair.  As in solve,
+    color 1 is tried before color 2 in each branch, and a lane's pair is
+    its first partner pair (u ascending) with no common neighbor in the
+    other color.
 
     The residual lanes, which neither branch covers, have no far partner
     pair, so their c-far edges are the c-critical edges.  On them p[v]
     holds the lanes where v ends a red-critical edge and q[v] the same for
-    blue.  The residual lanes where no vertex is in both get the one claim
-    keyed (p, q), both cut to those lanes: their cover is A = V - p in red
-    and B = V - q in blue.  left holds the other residual lanes, whose
-    critical edges share an end (branch 3, see lemmas), and q is returned
-    uncut for them (empty when no lane is residual).
+    blue.  The residual lanes where no vertex is in both get the one
+    critical-complement claim, A = V - p in red and B = V - q in blue.
+    On the others the critical edges share an end, and lemmas claims
+    them or reports them failed.
     """
     pairs = range(0, n, 2)
     edges = edge_list(n)
@@ -141,16 +145,19 @@ def covers(n: int, adj: dict[int, list[list[int]]], ones: int
             far_c.append(x)
             whole ^= whole & x
         if whole:
-            claims[c, None] = whole
+            claims[f"whole-{c}", c, (whole,) * n, c, (0,) * n] = whole
             rest ^= whole
     for c in COLORS:
+        s = flip(c)
         for u, x in zip(pairs, critical[c]):
             x &= rest
             if x:
-                claims[flip(c), u] = x
+                head, tail = (0,) * u, (0,) * (n - u - 2)
+                claims[f"two-stars-{s}", s, head + (x, 0) + tail,
+                       s, head + (0, x) + tail] = x
                 rest ^= x
     if not rest:
-        return claims, 0, far, []
+        return claims, 0
     # a lane with far edges in both passes has no far partner pair and is
     # neither whole-1 nor whole-2: it is residual, so meet needs no cut
     p, q = ([0] * n, [0] * n)
@@ -161,8 +168,11 @@ def covers(n: int, adj: dict[int, list[list[int]]], ones: int
     meet = reduce(or_, [x & y for x, y in zip(p, q)])
     found = rest ^ meet
     if found:
-        claims[tuple(x & found for x in p), tuple(y & found for y in q)] = found
-    return claims, meet, far, q
+        a, b = (tuple(found ^ (found & x) for x in row) for row in (p, q))
+        claims["critical-complement", RED, a, BLUE, b] = found
+    more, failed = lemmas(n, adj, far, q, meet)
+    claims.update(more)
+    return claims, failed
 
 
 def lemmas(n: int, adj: dict[int, list[list[int]]],
@@ -180,9 +190,8 @@ def lemmas(n: int, adj: dict[int, list[list[int]]],
     and the case split of cover._shared_vertex_cover, each a lane int per
     vertex.  failed holds the lanes where one of its
     InternalInconsistencyError conditions holds; they make no claim.  A
-    star case is claimed as (key, color_a, centers_a, color_b, centers_b)
-    with one-hot centers, lemma-c5plus as (key, BLUE, A, RED, B) with each
-    part's members.
+    star case claims its two one-hot centers, lemma-c5plus its two
+    5-part blowups' members (see Claims).
     """
     if not left:
         return {}, 0
@@ -271,80 +280,45 @@ def _neighbors(table: list[list[int]], hot: list[int]) -> list[int]:
     return row
 
 
-def census_key(claim: tuple) -> str:
-    """solve's census key of the lanes under a claim key."""
-    if isinstance(claim[0], str):
-        return claim[0]
-    if isinstance(claim[0], tuple):
-        return "critical-complement"
-    c, u = claim
-    return f"whole-{c}" if u is None else f"two-stars-{c}"
-
-
 def verify(n: int, adj: dict[int, list[list[int]]],
            claims: Claims) -> tuple[int, int, int]:
     """Re-derive every claimed cover from the edge lanes: (rejected, small,
     wide).
 
-    A whole-c lane needs V 2-reachable in c: each pair an edge or with a
-    common neighbor.  A critical-complement lane (p, q) needs the same of
-    A = V - p in red and of B = V - q in blue, and a lemma-c5plus lane of
-    its two parts in their colors; both need A and B to cover V.  A
-    two-stars lane needs the pair's two closed stars to cover V, and a
-    lemma star lane the closed stars of its two claimed centers, each
-    re-derived here from its center.  It does not re-test the criticality
-    or the case conditions that solve tests.  small holds the lanes where
-    neither part has n/2 vertices, from a lane-wise count of each part.
-    wide holds the critical-complement and lemma-c5plus lanes where a part
-    has a pair with no edge and no middle inside the part: the stage 1 of
-    the diameter-2 search, which V and a closed star always pass.
+    A claimed lane needs each part 2-reachable in its color: each pair of
+    members an edge or with a common neighbor.  A star part is re-built
+    here from its center as the closed star, which is within 2 through
+    the center.  Then the two parts must cover V.  It does not re-test
+    the criticality or the case conditions that solve tests.  small holds
+    the lanes where neither part has n/2 vertices, from a lane-wise count
+    of each part.  wide holds the lanes where a members part has a pair
+    with no edge and no middle inside the part: the stage 1 of the
+    diameter-2 search, which a closed star always passes, and V too,
+    whose middles all lie in it.
     """
     rejected = small = wide = 0
     half = n // 2
-    for claim, lanes in claims.items():
-        key = census_key(claim)
-        if key.startswith("whole"):
-            # the same check as for a part below, with every vertex a member
-            rejected |= _unreached(adj[claim[0]], [lanes] * n)[0]
-            continue
-        if key.startswith("two-stars"):
-            c, u = claim
-            star_u, star_v = adj[c][u], adj[c][u + 1]
-            for w in range(n):
-                if w >> 1 != u >> 1:
-                    rejected |= lanes ^ (lanes & (star_u[w] | star_v[w]))
-            # a closed star of n/2 vertices: its center and n/2 - 1 neighbors
-            small |= lanes ^ (lanes & (_at_least(star_u, half - 1)
-                                       | _at_least(star_v, half - 1)))
-            continue
-        if key == "critical-complement":
-            p, q = claim
-            colors = (RED, BLUE)
-            a, b = ([lanes ^ (lanes & x) for x in p],
-                    [lanes ^ (lanes & y) for y in q])
-        else:
-            _, color_a, a, color_b, b = claim
-            colors = (color_a, color_b)
-            a, b = [lanes & x for x in a], [lanes & x for x in b]
-        if key in ("critical-complement", "lemma-c5plus"):
-            for color, members in zip(colors, (a, b)):
-                far, out = _unreached(adj[color], members, in_set=True)
+    for (key, color_a, a, color_b, b), lanes in claims.items():
+        stars, in_set = key in _STARS, not key.startswith("whole")
+        parts = []
+        for color, members in ((color_a, a), (color_b, b)):
+            table = adj[color]
+            if stars:
+                members = [h | x for h, x in zip(members,
+                                                 _neighbors(table, members))]
+            else:
+                far, out = _unreached(table, members, in_set)
                 rejected |= far
                 wide |= out
-        else:
-            # a and b are one-hot centers: each part is its center's closed
-            # star, which is within 2 through the center
-            stars = []
-            for color, center in zip(colors, (a, b)):
-                members = center
-                for h, row in zip(center, adj[color]):
-                    if h:
-                        members = [m | h & x for m, x in zip(members, row)]
-                stars.append(members)
-            a, b = stars
-        for x, y in zip(a, b):
-            rejected |= lanes ^ (lanes & (x | y))
-        small |= lanes ^ (lanes & (_at_least(a, half) | _at_least(b, half)))
+            parts.append(members)
+        covered = short = lanes
+        for x, y in zip(*parts):
+            covered &= x | y
+        rejected |= lanes ^ covered
+        # short: the lanes where no part so far has n/2 vertices
+        for members in parts:
+            short ^= _at_least(members, half, short)
+        small |= short
     return rejected, small, wide
 
 
@@ -362,6 +336,8 @@ def _unreached(table: list[list[int]], members: list[int],
     n = len(table)
     for s in range(n):
         row_s, here = table[s], members[s]
+        if not here:
+            continue
         for t in range(s + 1, n):
             miss = here & members[t]
             miss ^= miss & row_s[t]  # no complement, as in _far
@@ -382,13 +358,16 @@ def _unreached(table: list[list[int]], members: list[int],
     return far, out
 
 
-def _at_least(row: list[int], count: int) -> int:
-    """The lanes in which at least count of the lane ints in row are set."""
-    at_least = [-1] + [0] * count  # at_least[j]: j or more set so far
+def _at_least(row: list[int], count: int, lanes: int) -> int:
+    """The lanes of lanes in which at least count of the lane ints in row
+    are set."""
+    at_least = [lanes] + [0] * count  # at_least[j]: j or more set so far
     for x in row:
         if x:
             for j in range(count, 0, -1):
                 at_least[j] |= at_least[j - 1] & x
+            if at_least[count] == lanes:
+                break
     return at_least[count]
 
 

@@ -303,6 +303,19 @@ def test_orbit_functions_reject_out_of_range_masks(orbit_fn, mask):
         orbit_fn(4, mask)
 
 
+def test_every_red_mask_check_raises_the_same_error():
+    """from_red_mask, mask_to_compact and the orbit functions share one
+    red-mask rule: -1 and 2**m are refused with the same message."""
+    for n in (4, 6):
+        for mask in (-1, 1 << num_edges(n)):
+            for check in (from_red_mask, mask_to_compact, canonical_red_mask,
+                          is_canonical):
+                with pytest.raises(ValueError) as info:
+                    check(n, mask)
+                assert str(info.value) == \
+                    f"red mask {mask:#x} out of range for n={n}"
+
+
 def test_orbit_table_cache_is_bounded():
     assert lab._edge_perm_tables.cache_info().maxsize == 4
 
@@ -450,8 +463,8 @@ def _failing_masks(n, samples, seed):
     return {random_red_mask(n, seed + SEED_STRIDE * i) for i in range(samples)}
 
 
-#: Census keys of branches 1 and 2; lanes.covers leaves the other
-#: colorings, the residual ones, to branches 4 and 3.
+#: Census keys of branches 1 and 2; the other colorings, the residual
+#: ones, take branch 4 or 3.
 LANE_KEYS = ("whole-1", "whole-2", "two-stars-1", "two-stars-2")
 COMPLEMENT = "critical-complement"
 #: The lemma-* keys that fire; lemma-iv and lemma-v never do.
@@ -466,19 +479,17 @@ def _is_residual(n, mask):
 
 def _examine_every_residual(monkeypatch):
     """Send every block's residual colorings to _examine, as failed lanes:
-    lanes.covers leaves its critical-complement lanes to lanes.lemmas,
-    which reports every lane it gets as failing an internal assertion."""
+    lanes.covers reports every lane of a branch-3 or branch-4 claim as
+    failing an internal assertion."""
     real = lanes.covers
 
     def covers(n, adj, ones):
-        claims, left, far, q = real(n, adj, ones)
-        for claim in [c for c in claims if lanes.census_key(c) == COMPLEMENT]:
-            left |= claims.pop(claim)
-        return claims, left, far, q
+        claims, failed = real(n, adj, ones)
+        for claim in [c for c in claims if c[0] not in LANE_KEYS]:
+            failed |= claims.pop(claim)
+        return claims, failed
 
     monkeypatch.setattr(lanes, "covers", covers)
-    monkeypatch.setattr(lanes, "lemmas",
-                        lambda n, adj, far, q, left: ({}, left))
 
 
 def _reject_every_cover(monkeypatch):
@@ -956,57 +967,61 @@ def test_failed_report_formatting():
 # --- the bit-sliced branches of scan against the per-coloring oracle
 
 
-def _complement_parts(n, claim, lanes_of):
-    """Per lane of lanes_of, the parts (A, B) of a critical-complement claim
-    key (p, q): A = V - p, B = V - q."""
-    full = (1 << n) - 1
-    parts = {i: [full, full] for i in lanes.indices(lanes_of)}
-    for side, rows in enumerate(claim):
+def _claim_parts(claim, lanes_of):
+    """Per lane of lanes_of, (color_a, a, color_b, b) of a lanes claim, with
+    the parts as vertex masks: a star part (lanes._STARS) as its one
+    center."""
+    key, color_a, a, color_b, b = claim
+    parts = {i: [0, 0] for i in lanes.indices(lanes_of)}
+    for side, rows in enumerate((a, b)):
         for v, x in enumerate(rows):
             for i in lanes.indices(x & lanes_of):
-                parts[i][side] &= ~(1 << v)
-    return {i: tuple(ab) for i, ab in parts.items()}
+                parts[i][side] |= 1 << v
+    if key in lanes._STARS:
+        assert all(x.bit_count() == 1 for ab in parts.values() for x in ab)
+    return {i: (color_a, pa, color_b, pb) for i, (pa, pb) in parts.items()}
 
 
-def _lemma_parts(n, claim, lanes_of):
-    """Per lane of lanes_of, (color_a, a, color_b, b) of a lemma-* claim
-    key: a and b are the star centers, or the parts under lemma-c5plus."""
-    key, color_a, a, color_b, b = claim
+def _solver_parts(cov):
+    """(color_a, a, color_b, b) of a cover from solve, in _claim_parts's
+    form."""
+    cert = cov.certificate
+    a, b = cov.a, cov.b
+    if cert.key.startswith("two-stars"):
+        a, b = 1 << cert.center1, 1 << cert.center2
+    elif cert.key in lanes._STARS:
+        a, b = 1 << cert.center_a, 1 << cert.center_b
+    return cov.color_a, a, cov.color_b, b
 
-    def picked(rows, i):
-        members = [v for v, x in enumerate(rows) if x >> i & 1]
-        if key == "lemma-c5plus":
-            return sum(1 << v for v in members)
-        center, = members
-        return center
 
-    return {i: (color_a, picked(a, i), color_b, picked(b, i))
-            for i in lanes.indices(lanes_of)}
+def _claim_covers(graphs, claim, lanes_of):
+    """Per lane of lanes_of, the Cover a lanes claim stands for in that
+    lane's graph: a star part is the closed star of its center."""
+    stars = claim[0] in lanes._STARS
+    out = {}
+    for i, (ca, a, cb, b) in _claim_parts(claim, lanes_of).items():
+        g = graphs[i]
+        if stars:
+            a, b = (star(g, ca, a.bit_length() - 1),
+                    star(g, cb, b.bit_length() - 1))
+        out[i] = Cover(g.n, a, ca, b, cb)
+    return out
 
 
 def _lane_outcomes(n, masks, edge_lanes):
     """Per lane: None for a lane that fails a branch-3 assertion, else
-    (key, detail, rejected, small, wide) from the lane kernel, all four
-    branches, and the lane verifier; detail is None for whole-c, the
-    pair for two-stars-c, the parts (A, B) for critical-complement and
-    _lemma_parts's colors and centers or parts for lemma-*."""
+    (key, parts, rejected, small, wide) from lanes.covers, all four
+    branches, and the lane verifier; parts is the claim's _claim_parts."""
     ones = (1 << len(masks)) - 1
     adj = lanes.adjacency(n, edge_lanes, ones)
-    claims, left, far, q = lanes.covers(n, adj, ones)
-    assert [lanes.census_key(c) for c in claims].count(COMPLEMENT) <= 1
-    more, failed = lanes.lemmas(n, adj, far, q, left)
-    assert not set(more) & set(claims)
-    claims.update(more)
+    claims, failed = lanes.covers(n, adj, ones)
+    assert [c[0] for c in claims].count(COMPLEMENT) <= 1
     rejected, small, wide = lanes.verify(n, adj, claims)
     out = dict.fromkeys(lanes.indices(failed))
     for claim, x in claims.items():
-        key = lanes.census_key(claim)
-        details = (_complement_parts(n, claim, x) if key == COMPLEMENT
-                   else _lemma_parts(n, claim, x) if key in LEMMA_KEYS
-                   else dict.fromkeys(lanes.indices(x), claim[1]))
-        for i, detail in details.items():
+        for i, parts in _claim_parts(claim, x).items():
             assert i not in out
-            out[i] = (key, detail, bool(rejected >> i & 1),
+            out[i] = (claim[0], parts, bool(rejected >> i & 1),
                       bool(small >> i & 1), bool(wide >> i & 1))
     assert sorted(out) == list(range(len(masks)))
     return [out[i] for i in range(len(masks))]
@@ -1022,19 +1037,13 @@ def _oracle_outcome(n, mask):
         cov = solve(g)
     except InternalInconsistencyError:
         return None
-    cert = cov.certificate
-    key = branch_key(cert)
+    key = branch_key(cov.certificate)
     diam2 = (is_diam2_subset(g, cov.color_a, cov.a)
              and is_diam2_subset(g, cov.color_b, cov.b))
     assert diam2 or key == COMPLEMENT
-    detail = (cert.center1 if key.startswith("two-stars")
-              else (cov.a, cov.b) if key == COMPLEMENT
-              else (cov.color_a, cov.a, cov.color_b, cov.b)
-              if key == "lemma-c5plus"
-              else (cert.color_a, cert.center_a, cert.color_b, cert.center_b)
-              if key in LEMMA_KEYS else None)
     small = max(cov.a.bit_count(), cov.b.bit_count()) < (n + 1) // 2
-    return (key, detail, not verify_cover(g, cov), small, not diam2)
+    return (key, _solver_parts(cov), not verify_cover(g, cov), small,
+            not diam2)
 
 
 def _assert_blocks_match_oracle(n, blocks):
@@ -1153,82 +1162,131 @@ def test_transpose_masks_matches_the_bitwise_definition(m, count):
         for k in range(m)]
 
 
+@pytest.mark.parametrize("n,samples,seed", [
+    (8, 2000, 87), (10, 1000, 88), (16, 300, 89)])
+def test_covers_claims_have_the_one_shape(n, samples, seed):
+    """Every claim of lanes.covers is (key, color_a, a, color_b, b): a
+    census key, two colors and two parts of n lane ints cut to the
+    claim's lanes, one-hot in each of them under a star key; the claims'
+    lanes partition the lanes that did not fail."""
+    (masks, edge_lanes), = lab._lane_blocks(n, "random", seed,
+                                            [(0, samples)])
+    ones = (1 << len(masks)) - 1
+    adj = lanes.adjacency(n, edge_lanes, ones)
+    claims, failed = lanes.covers(n, adj, ones)
+    covered = failed
+    for (key, color_a, a, color_b, b), x in claims.items():
+        assert key in lab.BRANCH_KEYS
+        assert color_a in COLORS and color_b in COLORS
+        for rows in (a, b):
+            assert len(rows) == n
+            assert not functools.reduce(operator.or_, rows) & ~x
+            if key in lanes._STARS:
+                assert sum(r.bit_count() for r in rows) == x.bit_count()
+                assert functools.reduce(operator.or_, rows) == x
+        assert x and not covered & x
+        covered |= x
+    assert covered == ones
+    assert {*LANE_KEYS, COMPLEMENT} <= {claim[0] for claim in claims}
+    assert lanes.verify(n, adj, {}) == (0, 0, 0)
+    assert lanes.verify(n, adj, claims)[:2] == (0, 0)
+
+
+def _verify_against_check_cover(n, adj, graphs, claim, found):
+    """The lane verifier on claim, in every lane of found, against the
+    per-coloring checks: it rejects a lane exactly when check_cover
+    rejects its cover, flags it small exactly when neither part has n/2
+    vertices, and wide exactly when a part fails is_diam2_subset -- but
+    never under whole-c, whose in-set middles are all of its middles, so
+    that a part of V that is not within 2 is rejected instead.  Returns
+    check_cover's reasons."""
+    rejected, small, wide = lanes.verify(n, adj, {claim: found})
+    assert not (rejected | small | wide) & ~found
+    whole = claim[0].startswith("whole")
+    reasons = set()
+    for i, cov in _claim_covers(graphs, claim, found).items():
+        g = graphs[i]
+        reason = check_cover(g, cov)
+        assert bool(rejected >> i & 1) == (reason is not None)
+        too_small = max(cov.a.bit_count(), cov.b.bit_count()) < n // 2
+        assert bool(small >> i & 1) == too_small
+        diam2 = (is_diam2_subset(g, cov.color_a, cov.a)
+                 and is_diam2_subset(g, cov.color_b, cov.b))
+        assert bool(wide >> i & 1) == (not diam2 and not whole)
+        reasons.add(reason)
+    return reasons
+
+
+def _forgeries(n, claim, found):
+    """Claims of claim's key that the kernel never makes, each in every lane
+    of found at once.  A star part's center moves to any vertex.  A
+    members part gets one vertex moved into or out of it, or two moved
+    into it together, and both parts are cut to n/2 and to n/2 - 1
+    vertices.  Under critical-complement, moving v out of B where it is
+    out of A leaves it uncovered, and moving both ends of a critical edge
+    into its part breaks the part."""
+    key, color_a, a, color_b, b = claim
+
+    def forged(rows_a, rows_b):
+        return key, color_a, tuple(rows_a), color_b, tuple(rows_b)
+
+    for side in (0, 1):
+        for v in range(n):
+            rows = [list(a), list(b)]
+            if key in lanes._STARS:
+                rows[side] = [found if w == v else 0 for w in range(n)]
+            else:
+                rows[side][v] ^= found
+            yield forged(*rows)
+    if key in lanes._STARS:
+        return
+    for u, w in itertools.combinations(range(n), 2):
+        for side in (0, 1):
+            rows = [list(a), list(b)]
+            rows[side][u] = rows[side][w] = found
+            yield forged(*rows)
+    for k in (n // 2, n // 2 + 1):
+        yield forged((0,) * k + a[k:], (0,) * k + b[k:])
+
+
 def test_lane_verifier_rejects_every_forged_cover():
     """Claim every cover the kernel could claim -- V in either color, or
     the two closed c-stars of any partner pair -- for every n = 6
-    coloring.  The verifier rejects a lane exactly when check_cover
-    rejects that cover, and flags it small exactly when neither part has
-    n/2 vertices: a wrong key or a wrong pair is caught."""
+    coloring, and check each against check_cover: a wrong key or a wrong
+    pair is caught."""
     n = 6
-    full = (1 << n) - 1
     (masks, edge_lanes), = lab._lane_blocks(n, "exhaustive", None,
                                             [(0, 1 << num_edges(n))])
     graphs = [from_red_mask(n, mask) for mask in masks]
     ones = (1 << len(masks)) - 1
     adj = lanes.adjacency(n, edge_lanes, ones)
     for c in COLORS:
-        for u in (None, *range(0, n, 2)):
-            rejected, small, wide = lanes.verify(n, adj, {(c, u): ones})
-            for i, g in enumerate(graphs):
-                a, b = ((full, 0) if u is None
-                        else (star(g, c, u), star(g, c, u + 1)))
-                bad = check_cover(g, Cover(n, a, c, b, c)) is not None
-                assert bool(rejected >> i & 1) == bad
-                too_small = max(a.bit_count(), b.bit_count()) < n // 2
-                assert bool(small >> i & 1) == too_small
-            assert 0 < rejected.bit_count() < len(masks)
-            assert wide == 0
-
-
-def _forgeries(n, p, q, found):
-    """Critical-complement claims the kernel never makes, each in every lane
-    of found at once: one vertex moved into or out of A, or into or out of
-    B, two vertices moved into A or into B together, and both parts cut
-    short.  Moving v out of B where it is out of A leaves it uncovered;
-    moving both ends of a critical edge into its part breaks the part."""
-    for v in range(n):
-        for side in (0, 1):
-            rows = [list(p), list(q)]
-            rows[side][v] ^= found
-            yield tuple(rows[0]), tuple(rows[1])
-    for u, w in itertools.combinations(range(n), 2):
-        for side in (0, 1):
-            rows = [list(p), list(q)]
-            rows[side][u] = rows[side][w] = 0
-            yield tuple(rows[0]), tuple(rows[1])
-    # both parts cut to n/2 and to n/2 - 1 vertices
-    for k in (n // 2, n // 2 + 1):
-        cut = (found,) * k
-        yield cut + p[k:], cut + q[k:]
+        claims = [(f"whole-{c}", c, (ones,) * n, c, (0,) * n)]
+        for u in range(0, n, 2):
+            head, tail = (0,) * u, (0,) * (n - u - 2)
+            claims.append((f"two-stars-{c}", c, head + (ones, 0) + tail,
+                           c, head + (0, ones) + tail))
+        for claim in claims:
+            reasons = _verify_against_check_cover(n, adj, graphs, claim, ones)
+            # some lanes are rejected and some are not
+            assert None in reasons and len(reasons) > 1
 
 
 @pytest.mark.parametrize("n,samples,seed", [(8, 400, 81), (10, 200, 82)])
 def test_lane_verifier_rejects_every_forged_complement(n, samples, seed):
-    """The verifier rejects a forged critical-complement lane exactly when
-    check_cover rejects its cover, flags it small exactly when neither part
-    has n/2 vertices, and wide exactly when a part fails is_diam2_subset."""
+    """The verifier judges each forged critical-complement lane as the
+    per-coloring checks do (_verify_against_check_cover)."""
     (masks, edge_lanes), = lab._lane_blocks(n, "random", seed,
                                             [(0, samples)])
     graphs = [from_red_mask(n, mask) for mask in masks]
     ones = (1 << len(masks)) - 1
     adj = lanes.adjacency(n, edge_lanes, ones)
     claims = lanes.covers(n, adj, ones)[0]
-    (p, q), = [c for c in claims if lanes.census_key(c) == COMPLEMENT]
-    found = claims[p, q]
-    assert lanes.verify(n, adj, {(p, q): found})[0] == 0
+    (claim, found), = [(c, x) for c, x in claims.items() if c[0] == COMPLEMENT]
+    assert lanes.verify(n, adj, {claim: found})[0] == 0
     outcomes = set()
-    for claim in _forgeries(n, p, q, found):
-        rejected, small, wide = lanes.verify(n, adj, {claim: found})
-        assert not (rejected | small | wide) & ~found
-        for i, (a, b) in _complement_parts(n, claim, found).items():
-            g = graphs[i]
-            reason = check_cover(g, Cover(n, a, RED, b, BLUE))
-            assert bool(rejected >> i & 1) == (reason is not None)
-            too_small = max(a.bit_count(), b.bit_count()) < n // 2
-            assert bool(small >> i & 1) == too_small
-            diam2 = is_diam2_subset(g, RED, a) and is_diam2_subset(g, BLUE, b)
-            assert bool(wide >> i & 1) == (not diam2)
-            outcomes.add(reason)
+    for forged in _forgeries(n, claim, found):
+        outcomes |= _verify_against_check_cover(n, adj, graphs, forged, found)
     # an uncovered vertex, a critical edge inside a part, and one end of a
     # critical edge moved into its part alone, which is no error
     assert {"not a cover", "A not 2-reachable", "B not 2-reachable",
@@ -1267,8 +1325,8 @@ def test_lemmas_match_the_case_analysis_on_forged_far_edges(n, samples, seed):
     claims, failed = lanes.lemmas(n, adj, forged, ends[1], meet)
     got = dict.fromkeys(lanes.indices(failed))
     for claim, x in claims.items():
-        got.update({i: (claim[0], detail)
-                    for i, detail in _lemma_parts(n, claim, x).items()})
+        got.update({i: (claim[0], parts)
+                    for i, parts in _claim_parts(claim, x).items()})
     assert sorted(got) == lanes.indices(meet)
     seen = set()
     for i in lanes.indices(meet):
@@ -1287,61 +1345,33 @@ def test_lemmas_match_the_case_analysis_on_forged_far_edges(n, samples, seed):
             assert got[i] is None
             seen.add(str(exc).split(" [")[0])
             continue
-        cert = cov.certificate
-        assert got[i] == (cert.key, (
-            (cov.color_a, cov.a, cov.color_b, cov.b) if cert.key == "lemma-c5plus"
-            else (cert.color_a, cert.center_a, cert.color_b, cert.center_b)))
-        seen.add(cert.key)
+        key = cov.certificate.key
+        assert got[i] == (key, _solver_parts(cov))
+        seen.add(key)
     assert len(seen) == 5 + len(LEMMA_KEYS)
-
-
-def _lemma_forgeries(n, claim, found):
-    """Lemma claims the kernel never makes, each in every lane of found at
-    once: under lemma-c5plus one vertex moved into or out of either part,
-    under a star case either center moved to any vertex."""
-    key, color_a, a, color_b, b = claim
-    for side in (0, 1):
-        for v in range(n):
-            rows = [list(a), list(b)]
-            if key == "lemma-c5plus":
-                rows[side][v] ^= found
-            else:
-                rows[side] = [found if w == v else 0 for w in range(n)]
-            yield key, color_a, tuple(rows[0]), color_b, tuple(rows[1])
 
 
 @pytest.mark.parametrize("n,samples,seed", [(8, 2000, 83), (10, 1000, 84)])
 def test_lane_verifier_rejects_every_forged_lemma_claim(n, samples, seed):
-    """The verifier rejects a forged lemma-* lane exactly when check_cover
-    rejects its cover, flags it small exactly when neither part has n/2
-    vertices, and wide exactly when a part fails is_diam2_subset."""
+    """The verifier judges each forged lemma-* lane as the per-coloring
+    checks do (_verify_against_check_cover)."""
     (masks, edge_lanes), = lab._lane_blocks(n, "random", seed,
                                             [(0, samples)])
     graphs = [from_red_mask(n, mask) for mask in masks]
     ones = (1 << len(masks)) - 1
     adj = lanes.adjacency(n, edge_lanes, ones)
-    _, left, far, q = lanes.covers(n, adj, ones)
-    claims, failed = lanes.lemmas(n, adj, far, q, left)
+    claims, failed = lanes.covers(n, adj, ones)
     assert failed == 0
-    assert {lanes.census_key(claim) for claim in claims} == set(LEMMA_KEYS)
+    claims = {c: x for c, x in claims.items() if c[0] in LEMMA_KEYS}
+    assert {claim[0] for claim in claims} == set(LEMMA_KEYS)
     assert lanes.verify(n, adj, claims) == (0, 0, 0)
     outcomes = set()
     for claim, found in claims.items():
-        for forged in _lemma_forgeries(n, claim, found):
-            rejected, small, wide = lanes.verify(n, adj, {forged: found})
-            assert not (rejected | small | wide) & ~found
+        for forged in _forgeries(n, claim, found):
             c5plus = forged[0] == "lemma-c5plus"
-            for i, (ca, a, cb, b) in _lemma_parts(n, forged, found).items():
-                g = graphs[i]
-                if not c5plus:
-                    a, b = star(g, ca, a), star(g, cb, b)
-                reason = check_cover(g, Cover(n, a, ca, b, cb))
-                assert bool(rejected >> i & 1) == (reason is not None)
-                too_small = max(a.bit_count(), b.bit_count()) < n // 2
-                assert bool(small >> i & 1) == too_small
-                diam2 = is_diam2_subset(g, ca, a) and is_diam2_subset(g, cb, b)
-                assert bool(wide >> i & 1) == (not diam2)
-                outcomes.add((c5plus, reason))
+            outcomes |= {(c5plus, reason) for reason in
+                         _verify_against_check_cover(n, adj, graphs, forged,
+                                                     found)}
     # a wrong center uncovers a vertex; a vertex moved out of a part
     # uncovers it, and one moved into a part can break it
     assert {(False, "not a cover"), (False, None), (True, "not a cover"),
@@ -1350,15 +1380,15 @@ def test_lane_verifier_rejects_every_forged_lemma_claim(n, samples, seed):
 
 
 def test_scan_examines_the_lanes_lemmas_reports_failing(monkeypatch):
-    """Lanes that lanes.lemmas reports as failing an internal assertion
+    """Lanes that lanes.covers reports as failing an internal assertion
     make no claim and reach _examine: solved there, they tally as before,
     and when solve raises, each keeps its reason."""
     n, seed, samples = 10, 2, 300
-    real_lemmas, real_solve = lanes.lemmas, lab.solve
+    real_covers, real_solve = lanes.covers, lab.solve
     moved_keys = ("lemma-i", "lemma-c5plus")
 
-    def failing_lemmas(n, adj, far, q, left):
-        claims, failed = real_lemmas(n, adj, far, q, left)
+    def failing_covers(n, adj, ones):
+        claims, failed = real_covers(n, adj, ones)
         for claim in [c for c in claims if c[0] in moved_keys]:
             failed |= claims.pop(claim)
         return claims, failed
@@ -1373,7 +1403,7 @@ def test_scan_examines_the_lanes_lemmas_reports_failing(monkeypatch):
     moved = sorted(m for m in masks
                    if branch_key(solve(from_red_mask(n, m)).certificate)
                    in moved_keys)
-    monkeypatch.setattr(lanes, "lemmas", failing_lemmas)
+    monkeypatch.setattr(lanes, "covers", failing_covers)
     monkeypatch.setattr(lab, "solve", counting_solve)
     report = scan(n, "random", "both", samples=samples, seed=seed)
     assert sorted(calls) == moved and len(moved) == 17
@@ -1433,10 +1463,11 @@ def test_scan_counts_lanes_the_verifier_rejects_as_reach_failures(monkeypatch):
     real = lanes.covers
 
     def forged(n, adj, ones):
-        claims, left, far, q = real(n, adj, ones)
-        if (RED, None) in claims:
-            claims[BLUE, None] = claims.get((BLUE, None), 0) | claims.pop((RED, None))
-        return claims, left, far, q
+        claims, failed = real(n, adj, ones)
+        for claim in [c for c in claims if c[0] == "whole-1"]:
+            _, _, a, _, b = claim
+            claims["whole-2", BLUE, a, BLUE, b] = claims.pop(claim)
+        return claims, failed
 
     clean = scan(6, check="both")
     monkeypatch.setattr(lanes, "covers", forged)
