@@ -79,15 +79,10 @@ CANONICAL_NAMES_MAX_N = 10
 ORBIT_MAX_N = 12
 
 #: Most workers a scan accepts: every worker past the first is a forked
-#: process, and each one gets its own list of sub-ranges.
+#: process, and each one scans every workers-th block of the index range.
 SCAN_MAX_WORKERS = 64
 
-#: Equal sub-ranges per worker in a multi-worker scan.  Worker w takes every
-#: workers-th sub-range from sub-range w, so each one samples the whole index
-#: range and the shares cost about the same.
-_SUBRANGES_PER_WORKER = 16
-
-#: Low mask bits an exhaustive lane block spans: 2**16 colorings per block.
+#: Most low mask bits an exhaustive lane block spans: 2**16 colorings.
 _LANE_BITS = 16
 
 #: Most masks a random lane block holds.
@@ -464,63 +459,51 @@ def _examine(g: ColoredCocktail, mask: int, check: str, part: _Partial) -> None:
             part.failed["diam2"].add(mask)
 
 
-def _scan_chunk(n: int, mode: str, check: str, seed: int | None,
-                ranges: list[tuple[int, int]]) -> _Partial:
-    """Tally the colorings of every index range [lo, hi) in ranges.
+def _scan_chunk(n: int, mode: str, check: str, seed: int | None, total: int,
+                count: int, blocks: Sequence[int]) -> _Partial:
+    """Tally the colorings of each block j in blocks, one of count blocks
+    over the index range [0, total) (_block_count).
 
     Scans up to _LANE_MAX_N go a lane block at a time (_tally_lanes);
-    above it each coloring is examined one at a time.
+    above it each coloring of a block is examined one at a time.
     """
     part = _Partial()
-    if n <= _LANE_MAX_N:
-        for masks, edge_lanes in _lane_blocks(n, mode, seed, ranges):
+    for masks, edge_lanes in _lane_blocks(n, mode, seed, total, count, blocks):
+        if edge_lanes is None:
+            for mask in masks:
+                _examine(from_red_mask(n, mask), mask, check, part)
+        else:
             _tally_lanes(n, check, masks, edge_lanes, part)
-    else:
-        for mask in _masks(n, mode, seed, ranges):
-            _examine(from_red_mask(n, mask), mask, check, part)
     return part
 
 
-def _masks(n: int, mode: str, seed: int | None,
-           ranges: list[tuple[int, int]]) -> Iterator[int]:
-    """The red masks of the index ranges: sample i's draw in a random
-    scan, else mask i."""
-    indices = (i for lo, hi in ranges for i in range(lo, hi))
-    if mode == "random":
-        return (random_red_mask(n, seed + SEED_STRIDE * i) for i in indices)
-    return indices
-
-
-def _lane_blocks(n: int, mode: str, seed: int | None,
-                 ranges: list[tuple[int, int]]
-                 ) -> Iterator[tuple[Sequence[int], list[int]]]:
-    """(masks, edge_lanes) blocks holding the colorings of the index ranges.
+def _lane_blocks(n: int, mode: str, seed: int | None, total: int, count: int,
+                 blocks: Sequence[int]
+                 ) -> Iterator[tuple[Sequence[int], list[int] | None]]:
+    """(masks, edge_lanes) of each block j in blocks: the colorings of the
+    indices [total*j // count, total*(j+1) // count).
 
     edge_lanes[k] is edge k's lane int: bit i is set when masks[i] colors
-    edge k red.  The report depends only on the set of masks, so an
-    exhaustive range walks masks in index order, as whole blocks of 2**b
-    masks sharing their high bits (b = min(m, _LANE_BITS)) plus at most
-    two partial ones: each low edge is a fixed lane pattern and each high
-    edge all or none.  A random share (_masks) is taken _RANDOM_LANES
-    masks at a time, each block sorted (so the lowest lane of a set is its
-    smallest mask) and transposed.
+    edge k red.  count is a power of two in an exhaustive scan, so block j
+    is the aligned run of 2**b masks whose high bits are j: each of its b
+    low edges is a fixed lane pattern, and edge b + k all or none by bit k
+    of j.  A random block's draws are sorted (so the lowest lane of a set
+    is its smallest mask) and transposed; above _LANE_MAX_N its edge_lanes
+    is None.
     """
     m = num_edges(n)
     if mode == "random":
-        share = _masks(n, mode, seed, ranges)
-        while masks := sorted(itertools.islice(share, _RANDOM_LANES)):
-            yield masks, lanes.transpose(masks, m)
+        for j in blocks:
+            masks = sorted(random_red_mask(n, seed + SEED_STRIDE * i) for i in
+                           range(total * j // count, total * (j + 1) // count))
+            yield masks, lanes.transpose(masks, m) if n <= _LANE_MAX_N else None
         return
-    b = min(m, _LANE_BITS)
-    patterns = lanes.patterns(b)
-    for lo, hi in ranges:
-        for start in range(lo >> b << b, hi, 1 << b):
-            first, stop = max(lo, start), min(hi, start + (1 << b))
-            ones = (1 << (stop - first)) - 1
-            low = [p >> (first - start) & ones for p in patterns]
-            high = start >> b
-            yield range(first, stop), low + [ones if high >> j & 1 else 0
-                                             for j in range(m - b)]
+    b = (total // count).bit_length() - 1
+    patterns = list(lanes.patterns(b))
+    ones = (1 << (1 << b)) - 1
+    for j in blocks:
+        yield range(j << b, (j + 1) << b), patterns + [
+            ones if j >> k & 1 else 0 for k in range(m - b)]
 
 
 def _tally_lanes(n: int, check: str, masks: Sequence[int],
@@ -565,23 +548,26 @@ def _tally_lanes(n: int, check: str, masks: Sequence[int],
         _examine(from_red_mask(n, masks[i]), masks[i], check, part)
 
 
-def _split(total: int, workers: int) -> list[list[tuple[int, int]]]:
-    """Each worker's non-empty sub-ranges of [0, total), strided.
+def _block_count(n: int, mode: str, total: int, workers: int) -> int:
+    """How many blocks a scan cuts its index range [0, total) into.
 
-    [0, total) is cut into workers * _SUBRANGES_PER_WORKER near-equal
-    sub-ranges; worker w holds sub-ranges w, w + workers, w + 2*workers, ...
-    A worker may hold none when total is small.
+    Block j holds the indices [total*j // count, total*(j+1) // count).
+    Exhaustive blocks are aligned runs of a power of two masks, at most
+    2**_LANE_BITS; random ones hold at most _RANDOM_LANES, in a multiple
+    of workers blocks where total allows.  Either way every worker gets a
+    block when total >= workers, which a fixed block size would not give.
     """
-    k = workers * _SUBRANGES_PER_WORKER
-    subs = [(total * j // k, total * (j + 1) // k) for j in range(k)]
-    return [[(lo, hi) for lo, hi in subs[w::workers] if lo < hi]
-            for w in range(workers)]
+    if mode == "random":
+        per = workers * _RANDOM_LANES
+        return min(total, workers * ((total + per - 1) // per))
+    m = num_edges(n)
+    return 1 << min(m, max(m - _LANE_BITS, (workers - 1).bit_length()))
 
 
-def _scan_job(conn, args: tuple, ranges: list[tuple[int, int]]) -> None:
-    """Worker process: send the tally of ranges, or the exception it raised."""
+def _scan_job(conn, args: tuple, blocks: range) -> None:
+    """Worker process: send the tally of blocks, or the exception it raised."""
     try:
-        result = _scan_chunk(*args, ranges)
+        result = _scan_chunk(*args, blocks)
     except Exception as exc:
         # the caller re-raises it; an exception that cannot make the trip
         # (its __init__ takes other arguments) goes as type name and message
@@ -593,21 +579,26 @@ def _scan_job(conn, args: tuple, ranges: list[tuple[int, int]]) -> None:
         conn.send(result)
 
 
-def _scan_jobs(args: tuple, jobs: list[list[tuple[int, int]]]) -> _Partial:
-    """Scan jobs[0] in this process and every later job in a child process.
+def _scan_jobs(args: tuple, jobs: list[range]) -> _Partial:
+    """Scan the blocks of jobs[0] in this process and those of every later
+    job in a child process; a lone job starts none.
 
-    Each child sends its _Partial (or its exception) through a one-way pipe.
-    The caller receives a child's tally before joining it -- joining first
-    can deadlock on a tally larger than the pipe buffer -- and on any way
-    out terminates and joins every child still running.
+    args ends with the caller's plan (total, count), which a child never
+    recomputes, whatever start method made it.  Each child sends its
+    _Partial (or its exception) through a one-way pipe.  The caller
+    receives a child's tally before joining it -- joining first can
+    deadlock on a tally larger than the pipe buffer -- and on any way out
+    terminates and joins every child still running.
     """
+    if len(jobs) == 1:
+        return _scan_chunk(*args, jobs[0])
     ctx = multiprocessing.get_context("fork")
     children = []
     try:
-        for ranges in jobs[1:]:
+        for blocks in jobs[1:]:
             recv, send = ctx.Pipe(duplex=False)
             with send:  # the child holds its own copy of the sending end
-                proc = ctx.Process(target=_scan_job, args=(send, args, ranges))
+                proc = ctx.Process(target=_scan_job, args=(send, args, blocks))
                 children.append((proc, recv))
                 proc.start()
         merged = _scan_chunk(*args, jobs[0])
@@ -635,12 +626,11 @@ def _scan_jobs(args: tuple, jobs: list[list[tuple[int, int]]]) -> _Partial:
 
 def scan(n: int, mode: str = "exhaustive", check: str = "reach",
          samples: int | None = None, seed: int | None = None,
-         workers: int = 1,
-         max_exhaustive_n: int = ENUMERATION_MAX_N) -> ScanReport:
+         workers: int = 1) -> ScanReport:
     """Run solve/verify and/or the diameter-2 search over a coloring space.
 
-    mode "exhaustive" walks all 2**(n(n-2)/2) colorings (n capped by
-    max_exhaustive_n); mode "random" draws ``samples`` colorings from
+    mode "exhaustive" walks all 2**(n(n-2)/2) colorings (n at most
+    ENUMERATION_MAX_N); mode "random" draws ``samples`` colorings from
     ``seed`` (sample i uses seed + SEED_STRIDE*i).
 
     Up to n = 64 the colorings of all four of solve's
@@ -650,14 +640,13 @@ def scan(n: int, mode: str = "exhaustive", check: str = "reach",
     internal assertion, and every coloring above n = 64, are solved and
     verified one at a time.
 
-    workers = 1 scans the whole index range in this process.  workers > 1
-    (at most SCAN_MAX_WORKERS) cuts the range into workers * 16 equal
-    sub-ranges and deals them out round-robin, so every worker samples the
-    whole range; the caller scans the first worker's share itself while
-    one forked process per further worker scans its own and pipes back the
-    tallies.  An exception in a worker is re-raised here, and no worker
-    outlives the call.  workers only splits the index range: every
-    reported field is independent of the split.
+    The index range is cut into whole blocks (_block_count), and worker w
+    (of at most SCAN_MAX_WORKERS) takes blocks w, w + workers, ..., so
+    every worker samples the whole range.  The caller scans worker 0's
+    blocks itself while one forked process per further worker with a
+    block scans its own and pipes back the tallies.  An exception in a
+    worker is re-raised here, and no worker outlives the call.  Every
+    reported field is independent of workers.
     """
     edges = num_edges(n)
     if mode not in _MODES:
@@ -681,18 +670,17 @@ def scan(n: int, mode: str = "exhaustive", check: str = "reach",
     else:
         if samples is not None or seed is not None:
             raise ValueError("samples/seed only apply to random mode")
-        if n > max_exhaustive_n:
+        if n > ENUMERATION_MAX_N:
             raise ValueError(
-                f"n={n} exceeds the exhaustive bound {max_exhaustive_n} "
+                f"n={n} exceeds the exhaustive bound {ENUMERATION_MAX_N} "
                 f"(2**{edges} colorings)")
         total = 1 << edges
 
     start = time.monotonic()
-    args = (n, mode, check, seed)
-    if workers == 1:
-        merged = _scan_chunk(*args, [(0, total)])
-    else:
-        merged = _scan_jobs(args, [job for job in _split(total, workers) if job])
+    count = _block_count(n, mode, total, workers)
+    merged = _scan_jobs((n, mode, check, seed, total, count),
+                        [range(w, count, workers)
+                         for w in range(min(workers, count))])
     wall = time.monotonic() - start
 
     name = canonical_red_mask if n <= CANONICAL_NAMES_MAX_N else lambda n, m: m

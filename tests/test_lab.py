@@ -542,6 +542,13 @@ def test_scan_report_goldens_under_start_method(monkeypatch, method):
     ]:
         report = scan(workers=2, **kwargs)
         assert report.machine_text() == (FIXTURES / fixture).read_text()
+    # the children scan the caller's plan of 44 blocks; one that rebuilt
+    # it from its own import of _RANDOM_LANES would count 2
+    monkeypatch.setattr(lab, "_RANDOM_LANES", 7)
+    assert lab._block_count(10, "random", 300, 2) == 44
+    report = scan(10, "random", "both", samples=300, seed=2, workers=2)
+    assert report.machine_text() == \
+        (FIXTURES / "scan_n10_random_both.txt").read_text()
 
 
 def _scan_solve_calls(monkeypatch, samples):
@@ -700,10 +707,10 @@ def test_scan_workers_do_not_change_the_report():
 
 def _refuse_processes(monkeypatch):
     def no_processes(*args):
-        raise AssertionError("scan built a split or started a process")
+        raise AssertionError("scan planned its blocks or started a process")
 
     monkeypatch.setattr(lab.multiprocessing, "get_context", no_processes)
-    monkeypatch.setattr(lab, "_split", no_processes)
+    monkeypatch.setattr(lab, "_block_count", no_processes)
 
 
 def test_scan_refuses_workers_above_the_bound(monkeypatch):
@@ -723,26 +730,55 @@ def test_scan_at_the_workers_bound_runs_in_process():
     assert multiprocessing.active_children() == []
 
 
-@pytest.mark.parametrize("total,workers", [
-    (5, 2), (31, 2), (32, 2), (33, 2), (4096, 2), (1000, 3), (48, 3),
-    (1, 2), (3, 8), (63, 64), (1 << 24, SCAN_MAX_WORKERS)])
-def test_scan_split_deals_strided_sub_ranges(total, workers):
-    jobs = lab._split(total, workers)
-    assert len(jobs) == workers
-    pieces = sorted(r for job in jobs for r in job)
-    # the sub-ranges cover [0, total) exactly once, none empty
-    assert pieces[0][0] == 0 and pieces[-1][1] == total
-    assert all(a[1] == b[0] for a, b in zip(pieces, pieces[1:]))
-    assert all(lo < hi for lo, hi in pieces)
-    # they are the non-empty ones of k equal sub-ranges ...
-    k = workers * lab._SUBRANGES_PER_WORKER
-    assert len(pieces) == min(k, total)
-    assert {hi - lo for lo, hi in pieces} <= {total // k, total // k + 1}
-    # ... and job w holds sub-ranges w, w + workers, w + 2 * workers, ...
-    owner = {(total * j // k, total * (j + 1) // k): j % workers
-             for j in range(k)}
-    assert all(owner[r] == w for w, job in enumerate(jobs) for r in job)
-    assert all(job == sorted(job) for job in jobs)
+@pytest.mark.parametrize("kwargs,children", [
+    (dict(n=2, workers=SCAN_MAX_WORKERS), 0),
+    (dict(n=6, workers=3), 2),
+    (dict(n=10, mode="random", check="both", samples=300, seed=2,
+          workers=2), 1),
+    (dict(n=16, mode="random", samples=40, seed=4, workers=3), 2),
+], ids=["n2-w64", "n6-w3", "n10-random-w2", "n16-random-w3"])
+def test_scan_starts_a_child_per_job_past_the_first(monkeypatch, kwargs,
+                                                      children):
+    # n = 2 is one block; n = 6 on three workers is 4 blocks, dealt 2/1/1;
+    # the random scans are one block a worker
+    started = []
+    real = multiprocessing.process.BaseProcess.start
+
+    def start(self):
+        started.append(self)
+        real(self)
+
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", start)
+    scan(**kwargs)
+    assert len(started) == children
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("n,mode,total,workers", [
+    *((10, "random", total, workers) for total, workers in [
+        (5, 2), (31, 2), (32, 2), (33, 2), (4096, 2), (1000, 3), (48, 3),
+        (1, 2), (3, 8), (63, 64), (1 << 24, SCAN_MAX_WORKERS)]),
+    *((n, "exhaustive", 1 << num_edges(n), workers)
+      for n in (2, 4, 6, 8) for workers in (1, 2, 3, SCAN_MAX_WORKERS))])
+def test_scan_block_count_deals_whole_blocks(n, mode, total, workers):
+    count = lab._block_count(n, mode, total, workers)
+    blocks = [(total * j // count, total * (j + 1) // count)
+              for j in range(count)]
+    # the blocks partition [0, total), none empty and none above its cap
+    assert blocks[0][0] == 0 and blocks[-1][1] == total
+    assert all(lo < hi for lo, hi in blocks)
+    cap = lab._RANDOM_LANES if mode == "random" else 1 << lab._LANE_BITS
+    assert all(hi - lo <= cap for lo, hi in blocks)
+    if mode == "exhaustive":
+        # aligned runs of a power of two masks
+        size = total // count
+        assert size & (size - 1) == 0
+        assert all(lo % size == 0 and hi - lo == size for lo, hi in blocks)
+    # worker w takes blocks w, w + workers, ...: the shares differ by one
+    # block at most, and every worker has one when there is work for all
+    shares = [len(range(w, count, workers)) for w in range(workers)]
+    assert max(shares) - min(shares) <= 1
+    assert min(shares) >= 1 or total < workers
 
 
 @contextlib.contextmanager
@@ -761,10 +797,12 @@ def _returns_within(seconds):
 
 
 def _first_residual_mask_of_job(n, workers, job):
-    """The lowest residual mask of a job's share: an exhaustive scan walks
-    each sub-range in index order."""
-    return min(m for lo, hi in lab._split(1 << num_edges(n), workers)[job]
-               for m in range(lo, hi) if _is_residual(n, m))
+    """The lowest residual mask of a job's blocks in an exhaustive scan."""
+    total = 1 << num_edges(n)
+    count = lab._block_count(n, "exhaustive", total, workers)
+    return min(m for masks, _ in lab._lane_blocks(
+        n, "exhaustive", None, total, count, range(job, count, workers))
+        for m in masks if _is_residual(n, m))
 
 
 def _examine_failing_at(monkeypatch, bad, fail):
@@ -1070,7 +1108,7 @@ def _assert_blocks_match_oracle(n, blocks):
 @pytest.mark.parametrize("n", [2, 4, 6])
 def test_lane_path_matches_the_oracle_on_every_coloring(n):
     total = 1 << num_edges(n)
-    blocks = list(lab._lane_blocks(n, "exhaustive", None, [(0, total)]))
+    blocks = list(lab._lane_blocks(n, "exhaustive", None, total, 1, range(1)))
     assert [list(masks) for masks, _ in blocks] == [list(range(total))]
     keys = _assert_blocks_match_oracle(n, blocks)
     # n = 6 is the smallest order with a critical-complement coloring, and
@@ -1091,19 +1129,18 @@ def test_lane_path_matches_the_oracle_on_every_coloring(n):
 
 
 def test_lane_path_matches_the_oracle_on_n8_blocks():
-    """A whole 2**16-lane block at seeded high bits, and sub-ranges that
-    start and end inside a block or straddle two blocks."""
+    """A whole 2**16-lane block at seeded high bits, and seeded aligned
+    blocks of 2**12 and 2**4 lanes."""
     rng = random.Random(88)
-    high = rng.getrandbits(8) << 16
-    ranges = [(high, high + (1 << 16))]
-    for _ in range(3):
-        lo = rng.getrandbits(24 - 1)
-        ranges.append((lo, lo + rng.randrange(1, 400)))
-    ranges.append((high + (5 << 16) - 150, high + (5 << 16) + 250))
-    blocks = list(lab._lane_blocks(8, "exhaustive", None, ranges))
-    assert len(blocks) == 6
-    assert [m for masks, _ in blocks for m in masks] == \
-        [m for lo, hi in ranges for m in range(lo, hi)]
+    total = 1 << num_edges(8)
+    blocks = []
+    for count in (1 << 8, 1 << 12, 1 << 20):
+        j = rng.getrandbits(count.bit_length() - 1)
+        (masks, edge_lanes), = lab._lane_blocks(8, "exhaustive", None, total,
+                                                count, [j])
+        size = total // count
+        assert list(masks) == list(range(j * size, (j + 1) * size))
+        blocks.append((masks, edge_lanes))
     keys = _assert_blocks_match_oracle(8, blocks)
     assert {*LANE_KEYS, COMPLEMENT} < keys <= {*LANE_KEYS, COMPLEMENT, *LEMMA_KEYS}
 
@@ -1125,7 +1162,7 @@ def test_lane_path_matches_the_oracle_on_pruned_blocks(n, hi):
 
 def _assert_random_share_matches_oracle(n, samples):
     seed = 1000 + samples
-    blocks = list(lab._lane_blocks(n, "random", seed, [(0, samples)]))
+    blocks = list(lab._lane_blocks(n, "random", seed, samples, 1, range(1)))
     assert [masks for masks, _ in blocks] == [sorted(
         random_red_mask(n, seed + SEED_STRIDE * i) for i in range(samples))]
     keys = _assert_blocks_match_oracle(n, blocks)
@@ -1170,7 +1207,7 @@ def test_covers_claims_have_the_one_shape(n, samples, seed):
     claim's lanes, one-hot in each of them under a star key; the claims'
     lanes partition the lanes that did not fail."""
     (masks, edge_lanes), = lab._lane_blocks(n, "random", seed,
-                                            [(0, samples)])
+                                            samples, 1, range(1))
     ones = (1 << len(masks)) - 1
     adj = lanes.adjacency(n, edge_lanes, ones)
     claims, failed = lanes.covers(n, adj, ones)
@@ -1256,7 +1293,7 @@ def test_lane_verifier_rejects_every_forged_cover():
     pair is caught."""
     n = 6
     (masks, edge_lanes), = lab._lane_blocks(n, "exhaustive", None,
-                                            [(0, 1 << num_edges(n))])
+                                            1 << num_edges(n), 1, range(1))
     graphs = [from_red_mask(n, mask) for mask in masks]
     ones = (1 << len(masks)) - 1
     adj = lanes.adjacency(n, edge_lanes, ones)
@@ -1277,7 +1314,7 @@ def test_lane_verifier_rejects_every_forged_complement(n, samples, seed):
     """The verifier judges each forged critical-complement lane as the
     per-coloring checks do (_verify_against_check_cover)."""
     (masks, edge_lanes), = lab._lane_blocks(n, "random", seed,
-                                            [(0, samples)])
+                                            samples, 1, range(1))
     graphs = [from_red_mask(n, mask) for mask in masks]
     ones = (1 << len(masks)) - 1
     adj = lanes.adjacency(n, edge_lanes, ones)
@@ -1301,7 +1338,7 @@ def test_lemmas_match_the_case_analysis_on_forged_far_edges(n, samples, seed):
     pick from the same far edges: the same lanes fail, with every one of
     its assertions firing somewhere, and the others get the same claim."""
     (masks, edge_lanes), = lab._lane_blocks(n, "random", seed,
-                                            [(0, samples)])
+                                            samples, 1, range(1))
     ones = (1 << len(masks)) - 1
     adj = lanes.adjacency(n, edge_lanes, ones)
     # every lane's far edges, not just those covers keeps
@@ -1356,7 +1393,7 @@ def test_lane_verifier_rejects_every_forged_lemma_claim(n, samples, seed):
     """The verifier judges each forged lemma-* lane as the per-coloring
     checks do (_verify_against_check_cover)."""
     (masks, edge_lanes), = lab._lane_blocks(n, "random", seed,
-                                            [(0, samples)])
+                                            samples, 1, range(1))
     graphs = [from_red_mask(n, mask) for mask in masks]
     ones = (1 << len(masks)) - 1
     adj = lanes.adjacency(n, edge_lanes, ones)
