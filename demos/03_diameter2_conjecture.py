@@ -6,7 +6,7 @@ at most 2 always exists is open.  The two notions genuinely differ --
 induced diameter 2 is not even subset-hereditary -- yet the complete
 search has never found a coloring without such a cover.
 
-Run:  python3 demos/03_diameter2_conjecture.py        (about a minute)
+Run:  python3 demos/03_diameter2_conjecture.py        (well under a second)
 """
 
 from partycover import (

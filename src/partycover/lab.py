@@ -515,12 +515,12 @@ def _tally_lanes(n: int, check: str, masks: Sequence[int],
     lanes.verify re-derives every claimed cover.  A claimed cover the
     lane verifier rejects is a reach failure, and its coloring goes to
     the diameter-2 search alone.  One it accepts counts as a diameter-2
-    cover too when both parts pass the lane stage 1 (V in a whole-c lane
-    and any closed star always do); a critical-complement or
-    lemma-c5plus coloring that fails it also goes to the search alone,
-    whose answer does not depend on the stage 1 it skips.  Only the
-    failed lanes, where branch 3 fails an internal assertion, go to
-    _examine, which reports its message.
+    cover too when both parts pass the lane stage 1, the in-set check of
+    every members part (a closed star always passes, and V fails only
+    where it is rejected); a coloring that fails it also goes to the
+    search alone, whose answer does not depend on the stage 1 it skips.
+    Only the failed lanes, where branch 3 fails an internal assertion, go
+    to _examine, which reports its message.
     """
     ones = (1 << len(masks)) - 1
     adj = lanes.adjacency(n, edge_lanes, ones)

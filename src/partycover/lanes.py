@@ -95,7 +95,8 @@ def adjacency(n: int, edge_lanes: list[int],
 
 
 def _far(row_u: list[int], row_v: list[int], need: int) -> int:
-    """The lanes of need where u and v have no common neighbor."""
+    """The lanes of need where the rows share no set entry: where u and v
+    have no common neighbor, or none among the middles a row is cut to."""
     for x, y in zip(row_u, row_v):
         need ^= need & x & y  # no complement: a negative operand costs more
         if not need:
@@ -291,15 +292,15 @@ def verify(n: int, adj: dict[int, list[list[int]]],
     the center.  Then the two parts must cover V.  It does not re-test
     the criticality or the case conditions that solve tests.  small holds
     the lanes where neither part has n/2 vertices, from a lane-wise count
-    of each part.  wide holds the lanes where a members part has a pair
-    with no edge and no middle inside the part: the stage 1 of the
-    diameter-2 search, which a closed star always passes, and V too,
-    whose middles all lie in it.
+    of each part.  wide holds the lanes where a members part, V included,
+    has a pair with no edge and no middle inside the part: the stage 1 of
+    the diameter-2 search, which a closed star always passes.  All of V's
+    middles lie in V, so a whole-c lane is wide only where it is rejected.
     """
     rejected = small = wide = 0
     half = n // 2
     for (key, color_a, a, color_b, b), lanes in claims.items():
-        stars, in_set = key in _STARS, not key.startswith("whole")
+        stars = key in _STARS
         parts = []
         for color, members in ((color_a, a), (color_b, b)):
             table = adj[color]
@@ -307,7 +308,7 @@ def verify(n: int, adj: dict[int, list[list[int]]],
                 members = [h | x for h, x in zip(members,
                                                  _neighbors(table, members))]
             else:
-                far, out = _unreached(table, members, in_set)
+                far, out = _unreached(table, members)
                 rejected |= far
                 wide |= out
             parts.append(members)
@@ -322,39 +323,27 @@ def verify(n: int, adj: dict[int, list[list[int]]],
     return rejected, small, wide
 
 
-def _unreached(table: list[list[int]], members: list[int],
-               in_set: bool = False) -> tuple[int, int]:
-    """(far, out): the lanes where two members are not within 2 in table,
-    the middle anywhere, and, with in_set, the lanes where two members
-    have no edge and no middle among the members (else 0).
+def _unreached(table: list[list[int]], members: list[int]) -> tuple[int, int]:
+    """(far, out): the lanes where two members have no edge and no common
+    neighbor in table (far), and the lanes where two members have no edge
+    and no common neighbor among the members (out).
 
-    members[v] holds the lanes where v is a member.  A pair missing a
-    middle anywhere misses an in-set one too, so with in_set only the
-    lanes left without an in-set middle look for one anywhere.
+    members[v] holds the lanes where v is a member.  A pair with no middle
+    anywhere has none among the members either, so far lies in out, and
+    only the lanes of out look for a middle anywhere.
     """
     far = out = 0
-    n = len(table)
-    for s in range(n):
-        row_s, here = table[s], members[s]
+    for s, (row_s, here) in enumerate(zip(table, members)):
         if not here:
             continue
-        for t in range(s + 1, n):
+        inner = [x & m for x, m in zip(row_s, members)]  # middles in the set
+        for t in range(s + 1, len(table)):
             miss = here & members[t]
             miss ^= miss & row_s[t]  # no complement, as in _far
-            if not miss:
-                continue
-            row_t = table[t]
-            if in_set:
-                for x, y, m in zip(row_s, row_t, members):
-                    miss ^= miss & x & y & m
-                    if not miss:
-                        break
+            if miss:
+                miss = _far(inner, table[t], miss)
                 out |= miss
-            for x, y in zip(row_s, row_t):
-                if not miss:
-                    break
-                miss ^= miss & x & y
-            far |= miss
+                far |= miss and _far(row_s, table[t], miss)
     return far, out
 
 

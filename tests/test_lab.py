@@ -64,7 +64,7 @@ from partycover.lab import (
     symmetry_group_order,
     symmetry_reduce,
 )
-from partycover.reach import is_diam2_subset, star
+from partycover.reach import is_2reachable_set, is_diam2_subset, star
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
@@ -1229,17 +1229,41 @@ def test_covers_claims_have_the_one_shape(n, samples, seed):
     assert lanes.verify(n, adj, claims)[:2] == (0, 0)
 
 
+@pytest.mark.parametrize("n,mode,total", [
+    (2, "exhaustive", 1), (4, "exhaustive", 16), (6, "exhaustive", 4096),
+    (8, "random", 300), (10, "random", 300), (12, "random", 300)])
+def test_unreached_matches_the_per_coloring_predicates(n, mode, total):
+    """lanes._unreached on V, the empty set, every singleton and seeded
+    random member sets, lane by lane against the per-coloring predicates:
+    far exactly where the set is not 2-reachable, out exactly where it
+    does not have in-set diameter <= 2, and so far only within out."""
+    (masks, edge_lanes), = lab._lane_blocks(n, mode, n, total, 1, range(1))
+    graphs = [from_red_mask(n, mask) for mask in masks]
+    ones = (1 << len(masks)) - 1
+    adj = lanes.adjacency(n, edge_lanes, ones)
+    rng = random.Random(n)
+    sets = [[ones] * n, [0] * n,
+            *([ones if w == v else 0 for w in range(n)] for v in range(n)),
+            *([rng.getrandbits(len(masks)) for _ in range(n)]
+              for _ in range(10))]
+    for c in COLORS:
+        for members in sets:
+            far, out = lanes._unreached(adj[c], members)
+            assert not far & ~out
+            for i, g in enumerate(graphs):
+                s = sum(1 << v for v, x in enumerate(members) if x >> i & 1)
+                assert bool(far >> i & 1) == (not is_2reachable_set(g, c, s))
+                assert bool(out >> i & 1) == (not is_diam2_subset(g, c, s))
+
+
 def _verify_against_check_cover(n, adj, graphs, claim, found):
     """The lane verifier on claim, in every lane of found, against the
     per-coloring checks: it rejects a lane exactly when check_cover
     rejects its cover, flags it small exactly when neither part has n/2
-    vertices, and wide exactly when a part fails is_diam2_subset -- but
-    never under whole-c, whose in-set middles are all of its middles, so
-    that a part of V that is not within 2 is rejected instead.  Returns
+    vertices, and wide exactly when a part fails is_diam2_subset.  Returns
     check_cover's reasons."""
     rejected, small, wide = lanes.verify(n, adj, {claim: found})
     assert not (rejected | small | wide) & ~found
-    whole = claim[0].startswith("whole")
     reasons = set()
     for i, cov in _claim_covers(graphs, claim, found).items():
         g = graphs[i]
@@ -1249,7 +1273,7 @@ def _verify_against_check_cover(n, adj, graphs, claim, found):
         assert bool(small >> i & 1) == too_small
         diam2 = (is_diam2_subset(g, cov.color_a, cov.a)
                  and is_diam2_subset(g, cov.color_b, cov.b))
-        assert bool(wide >> i & 1) == (not diam2 and not whole)
+        assert bool(wide >> i & 1) == (not diam2)
         reasons.add(reason)
     return reasons
 
