@@ -78,8 +78,8 @@ CANONICAL_NAMES_MAX_N = 10
 #: relabeling tables, 87 MB at n = 12 and about 1.7 GB at n = 14.
 ORBIT_MAX_N = 12
 
-#: Most workers a scan accepts: every worker past the first is a forked
-#: process, and each one scans every workers-th block of the index range.
+#: Most workers a scan accepts; each one past the first that has a block
+#: of the index range is a forked process.
 SCAN_MAX_WORKERS = 64
 
 #: Most low mask bits an exhaustive lane block spans: 2**16 colorings.
@@ -88,10 +88,9 @@ _LANE_BITS = 16
 #: Most masks a random lane block holds.
 _RANDOM_LANES = 1 << 12
 
-#: Largest n whose scans take the lane path.  A block's two n x n lane
-#: tables grow as n**2 and its far-pair loops as n**3: at n = 128 a random
-#: block of 4 096 colorings holds 18 MB of tables and scans barely faster
-#: than one coloring at a time.
+#: Largest n whose scans take the lane path.  A block holds two n x n
+#: tables of lane ints, 18 MB for 4 096 colorings at n = 128, and its cost
+#: per lane grows with n, as its far-pair loops grow as n**3.
 _LANE_MAX_N = 64
 
 #: Color pairs (A, B) of the diameter-2 search; see _diam2_cover.
@@ -552,16 +551,15 @@ def _block_count(n: int, mode: str, total: int, workers: int) -> int:
     """How many blocks a scan cuts its index range [0, total) into.
 
     Block j holds the indices [total*j // count, total*(j+1) // count).
-    Exhaustive blocks are aligned runs of a power of two masks, at most
-    2**_LANE_BITS; random ones hold at most _RANDOM_LANES, in a multiple
-    of workers blocks where total allows.  Either way every worker gets a
-    block when total >= workers, which a fixed block size would not give.
+    Workers deal whole blocks and never shrink them: an exhaustive plan is
+    aligned runs of 2**_LANE_BITS masks (one block below that), and a
+    random one gives each of min(workers, ceil(total / _RANDOM_LANES))
+    jobs the same number of blocks of at most _RANDOM_LANES.
     """
     if mode == "random":
-        per = workers * _RANDOM_LANES
-        return min(total, workers * ((total + per - 1) // per))
-    m = num_edges(n)
-    return 1 << min(m, max(m - _LANE_BITS, (workers - 1).bit_length()))
+        jobs = min(workers, -(-total // _RANDOM_LANES))
+        return jobs * -(-total // (jobs * _RANDOM_LANES))
+    return 1 << max(0, num_edges(n) - _LANE_BITS)
 
 
 def _scan_job(conn, args: tuple, blocks: range) -> None:
@@ -644,9 +642,10 @@ def scan(n: int, mode: str = "exhaustive", check: str = "reach",
     (of at most SCAN_MAX_WORKERS) takes blocks w, w + workers, ..., so
     every worker samples the whole range.  The caller scans worker 0's
     blocks itself while one forked process per further worker with a
-    block scans its own and pipes back the tallies.  An exception in a
-    worker is re-raised here, and no worker outlives the call.  Every
-    reported field is independent of workers.
+    block scans its own and pipes back the tallies: a one-block scan
+    forks none.  An exception in a worker is re-raised here, and no
+    worker outlives the call.  Every reported field is independent of
+    workers.
     """
     edges = num_edges(n)
     if mode not in _MODES:

@@ -1,7 +1,11 @@
 """Shared strategies and the acceptance-summary terminal hook."""
 
+import multiprocessing
+
+import pytest
 from hypothesis import strategies as st
 
+from partycover import lab
 from partycover.graphs import from_red_mask, num_edges
 
 # one line per acceptance criterion, filled in by test_acceptance.py
@@ -22,6 +26,31 @@ def colorings_with_subset(draw, min_n=2, max_n=10):
     g = draw(colorings(min_n=min_n, max_n=max_n))
     members = draw(st.integers(min_value=0, max_value=(1 << g.n) - 1))
     return g, members
+
+
+@pytest.fixture
+def started(monkeypatch):
+    """The processes started during the test, appended as each starts."""
+    procs = []
+    real = multiprocessing.process.BaseProcess.start
+
+    def start(self):
+        procs.append(self)
+        real(self)
+
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", start)
+    return procs
+
+
+@pytest.fixture
+def small_blocks(monkeypatch, started):
+    """Scan blocks of 2**8 exhaustive and 16 random colorings, so small
+    scans fork their workers: n = 6 is 16 blocks, and 64 and 300 samples
+    are 4 and 20.  Only the caller is patched; a child gets the plan in
+    its arguments, whatever start method made it.  Returns started."""
+    monkeypatch.setattr(lab, "_LANE_BITS", 8)
+    monkeypatch.setattr(lab, "_RANDOM_LANES", 16)
+    return started
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -1,7 +1,7 @@
 """Acceptance gate: one test and one pass/fail summary line per criterion.
 
 The heavy fixtures (the full n=8 sweep, the large random batches) are
-module-scoped and shared; the whole gate runs in roughly a quarter hour.
+module-scoped and shared; the whole suite runs in under a minute.
 Tests touching them carry the ``heavy`` marker so ``-m "not heavy"``
 still gives a quick partial gate.
 """
@@ -298,8 +298,11 @@ def test_criterion_8_non_heredity_and_monotonicity():
            "subset triples" + (f" -- {bad}" if bad else ""))
 
 
-def test_criterion_9_report_determinism():
-    """Scan reports are byte-identical across worker counts."""
+def test_criterion_9_report_determinism(small_blocks):
+    """Scan reports are byte-identical across worker counts.
+
+    small_blocks cuts n = 6 into 16 blocks, so workers 4 and 8 fork 3 and
+    7 children; at the default one block a scan of n = 6 forks none."""
     texts = {w: scan(6, mode="exhaustive", check="reach",
                      workers=w).machine_text() for w in (1, 4, 8)}
     golden = (FIXTURES / "scan_n6_reach.txt").read_text()
@@ -308,6 +311,9 @@ def test_criterion_9_report_determinism():
         bad.append("worker counts 1, 4, 8 disagree")
     if texts[1] != golden:
         bad.append("n=6 report drifted from the frozen fixture")
+    if len(small_blocks) != 3 + 7:
+        bad.append(f"{len(small_blocks)} worker processes started, not 10")
     record(9, not bad,
-           "n=6 machine reports byte-identical for workers 1, 4, 8 and equal "
-           "to the frozen fixture" + (f" -- {bad}" if bad else ""))
+           "n=6 machine reports byte-identical for workers 1, 4, 8 (16 blocks, "
+           "10 worker processes) and equal to the frozen fixture"
+           + (f" -- {bad}" if bad else ""))

@@ -341,6 +341,52 @@ def test_check_cover_certificate_mismatch():
     assert check_cover(g2, dataclasses.replace(cov2, certificate=None)) is None
 
 
+def _forge_witness(**fields):
+    return lambda cert: dataclasses.replace(
+        cert, witness=dataclasses.replace(cert.witness, **fields))
+
+
+def _forge_parts(side, parts):
+    return lambda cert: dataclasses.replace(cert, **{f"parts_{side}": parts})
+
+
+#: Forgeries of the certificate of a real solved cover, one rejection
+#: branch of the certificate checks each.  2: is two-stars-2 with centers
+#: 0 and 1, whose stars in either color are the centers alone.  8:6f0300
+#: is lemma-i with witness x, y, x', y', q = 0, 5, 1, 4, 4; without the
+#: check that y is neither x nor x', the far-end color test would raise
+#: on y = x.  10:eafc8b5324 is lemma-c5plus with parts_a ({2}, {6}, {9},
+#: {3}, {4}) and parts_b ({2}, {7}, {0, 5}, {3}, {1, 8}); each forged
+#: part tuple fails only the check it is named after.
+FORGED_CERTIFICATES = {
+    "two-stars-other-color": (
+        "2:", lambda cert: dataclasses.replace(cert, color=RED)),
+    "witness-x-prime-not-partner": ("8:6f0300", _forge_witness(x_prime=2)),
+    "witness-q-not-y-prime": ("8:6f0300", _forge_witness(q=5)),
+    "witness-y-is-x-prime": ("8:6f0300", _forge_witness(y=1, y_prime=0, q=0)),
+    "witness-y-is-x": ("8:6f0300", _forge_witness(y=0, y_prime=1, q=1)),
+    "c5plus-empty-part": (
+        "10:eafc8b5324", _forge_parts("a", (516, 64, 0, 8, 16))),
+    "c5plus-vertex-in-two-parts": (
+        "10:eafc8b5324", _forge_parts("a", (516, 64, 512, 8, 16))),
+    "c5plus-parts-miss-a-member": (
+        "10:eafc8b5324", _forge_parts("b", (4, 128, 32, 8, 258))),
+    "c5plus-consecutive-parts-not-joined": (
+        "10:eafc8b5324", _forge_parts("a", (64, 4, 512, 8, 16))),
+}
+
+
+@pytest.mark.parametrize("compact,forge", FORGED_CERTIFICATES.values(),
+                         ids=FORGED_CERTIFICATES)
+def test_check_cover_refuses_each_forged_certificate(compact, forge):
+    g = from_compact(compact)
+    cov = solve(g)
+    assert check_cover(g, cov) is None
+    forged = dataclasses.replace(cov, certificate=forge(cov.certificate))
+    assert forged.certificate != cov.certificate
+    assert check_cover(g, forged) == "certificate mismatch"
+
+
 # --- cover text format
 
 

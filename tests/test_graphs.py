@@ -169,6 +169,9 @@ def test_validation_rejects_broken_tables():
     missing[2] &= ~1
     with pytest.raises(ValueError, match="partition"):
         ColoredCocktail(4, missing, g.blue)
+    for red, blue in ((g.red[:3], g.blue), (g.red, [*g.blue, 0])):
+        with pytest.raises(ValueError, match="one mask per vertex"):
+            ColoredCocktail(4, red, blue)
 
 
 def _tables_are_valid(n, red, blue):

@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import colorings
-from partycover import lab, lanes
+from partycover import cli, lab, lanes
 from partycover.cover import (
     Cover,
     InternalInconsistencyError,
@@ -531,7 +531,8 @@ def test_scan_failure_names_raw_above_the_bound(monkeypatch):
 
 
 @pytest.mark.parametrize("method", ["spawn", "forkserver"])
-def test_scan_report_goldens_under_start_method(monkeypatch, method):
+def test_scan_report_goldens_under_start_method(monkeypatch, small_blocks,
+                                                 method):
     # the workers rebuild their state from a fresh import, not a fork
     ctx = multiprocessing.get_context(method)
     monkeypatch.setattr(lab.multiprocessing, "get_context", lambda _: ctx)
@@ -542,13 +543,15 @@ def test_scan_report_goldens_under_start_method(monkeypatch, method):
     ]:
         report = scan(workers=2, **kwargs)
         assert report.machine_text() == (FIXTURES / fixture).read_text()
+    assert len(small_blocks) == 2
     # the children scan the caller's plan of 44 blocks; one that rebuilt
-    # it from its own import of _RANDOM_LANES would count 2
+    # it from its own import of _RANDOM_LANES would count 1
     monkeypatch.setattr(lab, "_RANDOM_LANES", 7)
     assert lab._block_count(10, "random", 300, 2) == 44
     report = scan(10, "random", "both", samples=300, seed=2, workers=2)
     assert report.machine_text() == \
         (FIXTURES / "scan_n10_random_both.txt").read_text()
+    assert len(small_blocks) == 3
 
 
 def _scan_solve_calls(monkeypatch, samples):
@@ -636,7 +639,8 @@ def test_scan_both_searches_on_after_an_assertion_failure(monkeypatch):
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-def test_scan_keeps_the_message_of_an_assertion_failure(monkeypatch, workers):
+def test_scan_keeps_the_message_of_an_assertion_failure(monkeypatch,
+                                                        small_blocks, workers):
     """The human report gives each assertion failure's message; the
     machine report stays as it was."""
     n, seed, samples = 10, 3, 160
@@ -658,6 +662,7 @@ def test_scan_keeps_the_message_of_an_assertion_failure(monkeypatch, workers):
     monkeypatch.setattr(lab, "solve", failing_solve)
     report = scan(n, "random", "both", samples=samples, seed=seed,
                   workers=workers)
+    assert len(small_blocks) == workers - 1
     names = sorted(broken)
     assert report.assertion_failures == tuple(
         mask_to_compact(n, c) for c in names)
@@ -673,7 +678,7 @@ def test_scan_keeps_the_message_of_an_assertion_failure(monkeypatch, workers):
 
 
 def test_scan_gives_each_failure_name_the_reason_of_its_smallest_mask(
-        monkeypatch):
+        monkeypatch, small_blocks):
     # every n = 6 critical-complement coloring fails; isomorphic ones
     # share a failure name
     n = 6
@@ -694,14 +699,118 @@ def test_scan_gives_each_failure_name_the_reason_of_its_smallest_mask(
 
     monkeypatch.setattr(lab, "solve", failing_solve)
     report = scan(n, workers=2)
+    assert len(small_blocks) == 1
     assert report.assertion_reasons == tuple(
         f"injected at {m:x} [coloring {mask_to_compact(n, m)}]"
         for _, m in sorted(smallest.items()))
 
 
-def test_scan_workers_do_not_change_the_report():
+def _solve_is_diam2(n, mask):
+    """Do both parts of solve's cover have in-set diameter <= 2?"""
+    g = from_red_mask(n, mask)
+    cov = solve(g)
+    return is_diam2_subset(g, cov.color_a, cov.a) \
+        and is_diam2_subset(g, cov.color_b, cov.b)
+
+
+def _scan_fails_through_the_cli(capsys, report, kind, names, workers):
+    """The report names exactly names as failures of kind, and the CLI
+    run of the same scan prints them and exits with 1."""
+    assert getattr(report, f"{kind}_failures") == names
+    assert not report.ok
+    argv = ["scan", "--n", str(report.n), "--check", report.check,
+            "--workers", str(workers)]
+    if report.mode == "random":
+        argv += ["--mode", f"random:{report.samples}:{report.seed}"]
+    assert cli.main(argv) == 1
+    out = capsys.readouterr().out
+    for i, name in enumerate(names):
+        assert f"failure.{kind}.{i}={name}\n" in out
+    assert out.endswith("result=FAILURES\n")
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("path", ["lanes", "examine"])
+def test_scan_reports_the_colorings_with_no_diam2_cover(
+        monkeypatch, capsys, small_blocks, path, workers):
+    """A coloring the diameter-2 search finds no cover for is a diam2
+    failure, named canonically, whether it reached the search as a lane
+    that fails the lane stage 1 (_tally_lanes) or through _examine."""
+    n, samples, seed = 10, 300, 2
+    masks = [random_red_mask(n, seed + SEED_STRIDE * i) for i in range(samples)]
+    if path == "lanes":
+        # critical-complement lanes whose cover is not diameter-2
+        picked = [m for m in masks if not _solve_is_diam2(n, m)]
+    else:
+        _examine_every_residual(monkeypatch)
+        picked = [m for m in masks if _is_residual(n, m)]
+    bad = set(picked[:3])
+    names = tuple(mask_to_compact(n, c)
+                  for c in sorted({canonical_red_mask(n, m) for m in bad}))
+    assert len(names) == 3
+    real = lab._diam2_cover
+
+    def diam2_cover(g, cov):
+        return None if g.red_mask() in bad else real(g, cov)
+
+    monkeypatch.setattr(lab, "_diam2_cover", diam2_cover)
+    report = scan(n, "random", "both", samples=samples, seed=seed,
+                  workers=workers)
+    assert len(small_blocks) == workers - 1
+    assert report.diam2_cover_found + len(report.diam2_failures) == samples
+    assert report.reach_failures == report.corollary_failures == ()
+    _scan_fails_through_the_cli(capsys, report, "diam2", names, workers)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_scan_reports_a_cover_with_both_parts_below_half(
+        monkeypatch, capsys, small_blocks, workers):
+    """A cover from solve whose parts both have fewer than n/2 vertices
+    is a corollary failure; parts of one vertex each do not cover V, so
+    it is a reach failure too."""
+    n, samples, seed = 10, 300, 2
+    masks = [random_red_mask(n, seed + SEED_STRIDE * i) for i in range(samples)]
+    _examine_every_residual(monkeypatch)
+    bad = {m for m in masks if _is_residual(n, m)}
+    names = tuple(mask_to_compact(n, c)
+                  for c in sorted({canonical_red_mask(n, m) for m in bad}))
+    real = lab.solve
+
+    def small_solve(g):
+        cov = real(g)
+        if g.red_mask() in bad:
+            return dataclasses.replace(cov, a=1, b=2)
+        return cov
+
+    monkeypatch.setattr(lab, "solve", small_solve)
+    report = scan(n, "random", "reach", samples=samples, seed=seed,
+                  workers=workers)
+    assert len(small_blocks) == workers - 1
+    assert report.reach_failures == names
+    assert sum(report.branch_counts.values()) == samples
+    _scan_fails_through_the_cli(capsys, report, "corollary", names, workers)
+
+
+def test_exists_diam2_cover_answers_when_solve_raises(monkeypatch):
+    # sample 154 of seed 3 at n = 10 needs the assignment search: no pair
+    # of closed stars covers V
+    graphs = [*enumerate_colorings(4),
+              from_red_mask(10, random_red_mask(10, 3 + SEED_STRIDE * 154))]
+
+    def failing_solve(g):
+        raise InternalInconsistencyError("injected", g)
+
+    monkeypatch.setattr(lab, "solve", failing_solve)
+    for g in graphs:
+        found = exists_diam2_cover(g)
+        assert found is not None
+        assert check_cover(g, found, require_diam2=True) is None
+
+
+def test_scan_workers_do_not_change_the_report(small_blocks):
     texts = {scan(6, workers=w).machine_text() for w in (1, 2, 3)}
-    assert len(texts) == 1
+    assert texts == {(FIXTURES / "scan_n6_reach.txt").read_text()}
+    assert len(small_blocks) == 1 + 2
     assert multiprocessing.active_children() == []
 
 
@@ -730,25 +839,26 @@ def test_scan_at_the_workers_bound_runs_in_process():
     assert multiprocessing.active_children() == []
 
 
-@pytest.mark.parametrize("kwargs,children", [
-    (dict(n=2, workers=SCAN_MAX_WORKERS), 0),
-    (dict(n=6, workers=3), 2),
+@pytest.mark.parametrize("kwargs,small,children", [
+    (dict(n=2, workers=SCAN_MAX_WORKERS), False, 0),
+    (dict(n=4, workers=SCAN_MAX_WORKERS), False, 0),
+    (dict(n=6, workers=SCAN_MAX_WORKERS), False, 0),
+    (dict(n=6, workers=3), False, 0),
     (dict(n=10, mode="random", check="both", samples=300, seed=2,
-          workers=2), 1),
-    (dict(n=16, mode="random", samples=40, seed=4, workers=3), 2),
-], ids=["n2-w64", "n6-w3", "n10-random-w2", "n16-random-w3"])
-def test_scan_starts_a_child_per_job_past_the_first(monkeypatch, kwargs,
-                                                      children):
-    # n = 2 is one block; n = 6 on three workers is 4 blocks, dealt 2/1/1;
-    # the random scans are one block a worker
-    started = []
-    real = multiprocessing.process.BaseProcess.start
-
-    def start(self):
-        started.append(self)
-        real(self)
-
-    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", start)
+          workers=2), False, 0),
+    (dict(n=16, mode="random", samples=40, seed=4, workers=3), False, 0),
+    (dict(n=6, workers=3), True, 2),
+    (dict(n=8, mode="random", check="both", samples=20000, seed=5,
+          workers=3), False, 2),
+], ids=["n2-w64", "n4-w64", "n6-w64", "n6-w3", "n10-random-w2",
+        "n16-random-w3", "n6-w3-small-blocks", "n8-random-w3"])
+def test_scan_starts_a_child_per_job_past_the_first(request, started, kwargs,
+                                                      small, children):
+    # up to n = 6 and 4 096 samples a scan is one block, scanned in the
+    # caller whatever workers is; n = 6 in 16 small blocks and 20 000
+    # samples in 6 blocks deal one job to each of three workers
+    if small:
+        request.getfixturevalue("small_blocks")
     scan(**kwargs)
     assert len(started) == children
     assert multiprocessing.active_children() == []
@@ -757,11 +867,20 @@ def test_scan_starts_a_child_per_job_past_the_first(monkeypatch, kwargs,
 @pytest.mark.parametrize("n,mode,total,workers", [
     *((10, "random", total, workers) for total, workers in [
         (5, 2), (31, 2), (32, 2), (33, 2), (4096, 2), (1000, 3), (48, 3),
-        (1, 2), (3, 8), (63, 64), (1 << 24, SCAN_MAX_WORKERS)]),
+        (1, 2), (3, 8), (63, 64), (4097, 2), (8192, 3), (12000, 2),
+        (20000, 3), (1 << 24, SCAN_MAX_WORKERS)]),
     *((n, "exhaustive", 1 << num_edges(n), workers)
       for n in (2, 4, 6, 8) for workers in (1, 2, 3, SCAN_MAX_WORKERS))])
 def test_scan_block_count_deals_whole_blocks(n, mode, total, workers):
     count = lab._block_count(n, mode, total, workers)
+    if mode == "exhaustive":
+        # the plan comes from n alone
+        assert count == 2 ** max(0, num_edges(n) - 16)
+    else:
+        # every worker with a job gets the same number of blocks
+        assert count % min(workers, -(-total // 4096)) == 0
+    if total <= 4096:
+        assert count == 1
     blocks = [(total * j // count, total * (j + 1) // count)
               for j in range(count)]
     # the blocks partition [0, total), none empty and none above its cap
@@ -775,10 +894,9 @@ def test_scan_block_count_deals_whole_blocks(n, mode, total, workers):
         assert size & (size - 1) == 0
         assert all(lo % size == 0 and hi - lo == size for lo, hi in blocks)
     # worker w takes blocks w, w + workers, ...: the shares differ by one
-    # block at most, and every worker has one when there is work for all
+    # block at most
     shares = [len(range(w, count, workers)) for w in range(workers)]
     assert max(shares) - min(shares) <= 1
-    assert min(shares) >= 1 or total < workers
 
 
 @contextlib.contextmanager
@@ -820,7 +938,8 @@ def _examine_failing_at(monkeypatch, bad, fail):
 
 
 @pytest.mark.parametrize("job", [0, 1])
-def test_scan_worker_exception_reaches_the_caller(monkeypatch, job):
+def test_scan_worker_exception_reaches_the_caller(monkeypatch, small_blocks,
+                                                  job):
     bad = _first_residual_mask_of_job(6, 2, job)
 
     def fail(g, mask):
@@ -830,10 +949,12 @@ def test_scan_worker_exception_reaches_the_caller(monkeypatch, job):
     with pytest.raises(LookupError, match=f"^injected at mask {bad}$") as exc:
         scan(6, workers=2)
     assert type(exc.value) is LookupError
+    assert len(small_blocks) == 1
     assert multiprocessing.active_children() == []
 
 
-def test_scan_worker_internal_inconsistency_reaches_the_caller(monkeypatch):
+def test_scan_worker_internal_inconsistency_reaches_the_caller(monkeypatch,
+                                                               small_blocks):
     bad = _first_residual_mask_of_job(6, 2, 1)
 
     def fail(g, mask):
@@ -845,6 +966,7 @@ def test_scan_worker_internal_inconsistency_reaches_the_caller(monkeypatch):
         scan(6, workers=2)
     assert type(exc.value) is InternalInconsistencyError
     assert exc.value.graph_compact == mask_to_compact(6, bad)
+    assert len(small_blocks) == 1
     assert multiprocessing.active_children() == []
 
 
@@ -853,7 +975,8 @@ class _TwoArgumentError(Exception):
         super().__init__(f"{message} at mask {mask}")
 
 
-def test_scan_worker_exception_that_cannot_be_unpickled(monkeypatch):
+def test_scan_worker_exception_that_cannot_be_unpickled(monkeypatch,
+                                                        small_blocks):
     # the exception's __init__ takes two arguments but its args hold one,
     # so the worker sends its type name and message instead
     def fail(g, mask):
@@ -865,20 +988,23 @@ def test_scan_worker_exception_that_cannot_be_unpickled(monkeypatch):
                        match=f"^_TwoArgumentError: injected at mask {bad}$") as exc:
         scan(6, workers=2)
     assert type(exc.value) is RuntimeError
+    assert len(small_blocks) == 1
     assert multiprocessing.active_children() == []
 
 
-def test_scan_worker_that_dies_is_reported_with_its_exit_code(monkeypatch):
+def test_scan_worker_that_dies_is_reported_with_its_exit_code(monkeypatch,
+                                                              small_blocks):
     _examine_failing_at(monkeypatch, _first_residual_mask_of_job(6, 3, 2),
                         lambda g, mask: os._exit(3))
     with pytest.raises(RuntimeError,
                        match="scan worker 2 exited with code 3 before sending"):
         with _returns_within(30):
             scan(6, workers=3)
+    assert len(small_blocks) == 2
     assert multiprocessing.active_children() == []
 
 
-def test_scan_receives_a_large_tally_before_joining(monkeypatch):
+def test_scan_receives_a_large_tally_before_joining(monkeypatch, small_blocks):
     # the worker's tally is far larger than a pipe buffer, so it blocks in
     # send until the caller reads: joining it first would never return.
     # The worker's residual colorings all go to _examine.
@@ -896,10 +1022,11 @@ def test_scan_receives_a_large_tally_before_joining(monkeypatch):
     with _returns_within(30):
         report = scan(12, "random", "reach", samples=64, seed=1, workers=2)
     assert report.reach_failures == tuple(mask_to_compact(12, m) for m in extra)
+    assert len(small_blocks) == 1
     assert multiprocessing.active_children() == []
 
 
-def test_scan_caller_failure_terminates_the_workers(monkeypatch):
+def test_scan_caller_failure_terminates_the_workers(monkeypatch, small_blocks):
     stall = _first_residual_mask_of_job(6, 2, 1)
     bad = _first_residual_mask_of_job(6, 2, 0)
     real = lab._examine
@@ -917,6 +1044,7 @@ def test_scan_caller_failure_terminates_the_workers(monkeypatch):
     with pytest.raises(LookupError, match="caller's own share"):
         with _returns_within(30):
             scan(6, workers=2)
+    assert len(small_blocks) == 1
     assert multiprocessing.active_children() == []
 
 
