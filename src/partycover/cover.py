@@ -21,8 +21,8 @@ Branches, tried in order:
     vertex sets, and the two complements cover V.
 
 Internal assertions that the mathematics guarantees (branch 3's endpoint
-claim, the vertex partition, the two neighborhood observations, the
-common neighbors of the shared vertex's partner pair) raise
+claim, the two neighborhood observations, the common neighbors of the
+shared vertex's partner pair) raise
 InternalInconsistencyError carrying the compact form of the offending
 coloring instead of failing silently.
 """
@@ -313,7 +313,6 @@ def _shared_vertex_cover(g: ColoredCocktail, e: tuple[int, int],
     """Branch 3: the ends of a color-1-critical edge e and of a
     color-2-critical edge f, sharing a vertex."""
     n = g.n
-    full = (1 << n) - 1
     x, y = e if e[0] in f else e[::-1]
     q = f[0] + f[1] - x
     # col(x,y)=2 and col(x,q)=1 leave the partner of y as the only
@@ -324,14 +323,10 @@ def _shared_vertex_cover(g: ColoredCocktail, e: tuple[int, int],
             "a color-2-critical edge through the shared vertex must end at "
             "the partner of the color-1-critical edge's far end", g)
     xp, yp = x ^ 1, y ^ 1
-    named = (1 << x) | (1 << xp) | (1 << y) | (1 << yp)
     wit = LemmaWitness(x, y, xp, yp, q)
 
     x_set = g.blue[x] & ~(1 << y)
     y_set = g.blue[y] & ~(g.blue[x] | (1 << x) | (1 << xp))
-    if (x_set | y_set | named) != full or (x_set | y_set) & named or x_set & y_set:
-        raise InternalInconsistencyError(
-            "the four named vertices, X, and Y must partition V", g)
     if g.red[x] != (y_set | (1 << yp)):
         raise InternalInconsistencyError(
             "the red neighborhood of the shared vertex must be exactly "

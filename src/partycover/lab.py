@@ -15,9 +15,12 @@ colorings at a time: lane i of one int per edge holds that edge's color
 in coloring i, a lane verifier re-derives each claimed cover, and the
 stage 1 of the diameter-2 search runs on the same lanes.  The colorings
 whose branch 3 fails an internal assertion, and every coloring above
-n = 64, go through solve, verify_cover and the diameter-2 search one at
-a time.  The human report keeps the message of each internal assertion
-failure; the machine report counts them only.
+n = 64, go through solve and verify_cover one at a time.  A diameter-2
+scan (n <= 10) sends the first of these, and each coloring whose lane
+cover fails the lane verifier or the lane stage 1, to stages 2 and 3 of
+the diameter-2 search one at a time.  The human report keeps the
+message of each internal assertion failure; the machine report counts
+them only.
 
 Report determinism contract: ``machine_lines`` depends only on the scan
 parameters and the mathematics -- never on worker count or timing -- so
@@ -106,8 +109,11 @@ def exists_diam2_cover(g: ColoredCocktail,
     """A cover of V by two monochromatic diameter-<=2 subsets, or None.
 
     Complete: a None return means no such cover exists for any color
-    pair.  Solves g once and searches from the constructive cover; see
-    _diam2_cover for the stages.  The cover has no certificate.
+    pair.  Stage 1 re-checks solve's cover under the stronger in-set
+    middle requirement: its parts must unite to V and both pass
+    is_diam2_subset, whatever the certificate says.  When they do not, or
+    solve fails an internal assertion, _diam2_cover runs stages 2 and 3.
+    The cover has no certificate.
     """
     n = g.n
     if n > max_n:
@@ -117,30 +123,29 @@ def exists_diam2_cover(g: ColoredCocktail,
     try:
         cov = solve(g)
     except InternalInconsistencyError:
-        cov = None  # the search must not die with the constructive route
-    return _diam2_cover(g, cov)
+        pass  # the search must not die with the constructive route
+    else:
+        if (cov.a | cov.b) == (1 << n) - 1 \
+                and is_diam2_subset(g, cov.color_a, cov.a) \
+                and is_diam2_subset(g, cov.color_b, cov.b):
+            return Cover(n, cov.a, cov.color_a, cov.b, cov.color_b)
+    return _diam2_cover(g)
 
 
-def _diam2_cover(g: ColoredCocktail, cov: Cover | None) -> Cover | None:
-    """The diameter-2 search of exists_diam2_cover, given solve(g) or None.
+def _diam2_cover(g: ColoredCocktail) -> Cover | None:
+    """Stages 2 and 3 of the diameter-2 search, which need no cover.
 
-    Stages: (1) recheck the constructive 2-reachable cover ``cov`` under
-    the stronger in-set middle requirement -- both parts are re-checked
-    whatever the certificate says; (2) try every pair of closed stars (a
-    closed star always has in-set diameter <= 2 through its center); (3)
-    exhaustive assignment search putting each vertex in A, B, or both,
-    cutting a branch as soon as a pair inside a part has no edge and no
-    middle among the part and the unassigned vertices (``_within2``), so
-    every leaf it reaches is a cover.  Stages 2 and 3 skip (blue, red):
-    its cover (A, B) is the (red, blue) cover (B, A), which they try
-    first.
+    (2) try every pair of closed stars (a closed star always has in-set
+    diameter <= 2 through its center); (3) exhaustive assignment search
+    putting each vertex in A, B, or both, cutting a branch as soon as a
+    pair inside a part has no edge and no middle among the part and the
+    unassigned vertices (``_within2``), so every leaf it reaches is a
+    cover.  Both skip (blue, red): its cover (A, B) is the (red, blue)
+    cover (B, A), which they try first.  Complete on its own, so a scan
+    sends here the colorings whose constructive cover it did not accept.
     """
     n = g.n
     full = (1 << n) - 1
-    if cov is not None and is_diam2_subset(g, cov.color_a, cov.a) \
-            and is_diam2_subset(g, cov.color_b, cov.b):
-        return Cover(n, cov.a, cov.color_a, cov.b, cov.color_b)
-
     stars = {c: [star(g, c, v) for v in range(n)] for c in COLORS}
     for ca, cb in _COLOR_PAIRS:
         for su in stars[ca]:
@@ -425,37 +430,27 @@ class ScanReport:
         return "\n".join(lines) + "\n"
 
 
-def _examine(g: ColoredCocktail, mask: int, check: str, part: _Partial) -> None:
-    """Tally one coloring: g is solved once for every check.
-
-    Under reach/both the cover is verified and its branch counted; under
-    diam2/both the same cover (None after an assertion failure) seeds the
-    diameter-2 search, whose stage 1 re-checks it rather than trusting it.
-    An assertion failure keeps its message.
+def _examine(g: ColoredCocktail, mask: int, part: _Partial) -> None:
+    """Tally the reach side of one coloring: solve it, then count its
+    branch, verify the cover and test the corollary, or keep the
+    assertion failure's message.  The diameter-2 side never comes here:
+    _tally_lanes sends those colorings to _diam2_cover, and no
+    diameter-2 scan goes above _LANE_MAX_N.
     """
     try:
         cov = solve(g)
     except InternalInconsistencyError as exc:
-        cov = None
-        reason = str(exc)
-    if check in ("reach", "both"):
-        if cov is None:
-            part.failed["assertion"].add(mask)
-            part.reasons[mask] = reason
-        else:
-            key = branch_key(cov.certificate)
-            part.counts[key] += 1
-            if mask < part.first.get(key, mask + 1):
-                part.first[key] = mask
-            if not verify_cover(g, cov):
-                part.failed["reach"].add(mask)
-            if max(cov.a.bit_count(), cov.b.bit_count()) < (g.n + 1) // 2:
-                part.failed["corollary"].add(mask)
-    if check in ("diam2", "both"):
-        if _diam2_cover(g, cov) is not None:
-            part.counts["diam2_found"] += 1
-        else:
-            part.failed["diam2"].add(mask)
+        part.failed["assertion"].add(mask)
+        part.reasons[mask] = str(exc)
+        return
+    key = branch_key(cov.certificate)
+    part.counts[key] += 1
+    if mask < part.first.get(key, mask + 1):
+        part.first[key] = mask
+    if not verify_cover(g, cov):
+        part.failed["reach"].add(mask)
+    if max(cov.a.bit_count(), cov.b.bit_count()) < (g.n + 1) // 2:
+        part.failed["corollary"].add(mask)
 
 
 def _scan_chunk(n: int, mode: str, check: str, seed: int | None, total: int,
@@ -464,13 +459,14 @@ def _scan_chunk(n: int, mode: str, check: str, seed: int | None, total: int,
     over the index range [0, total) (_block_count).
 
     Scans up to _LANE_MAX_N go a lane block at a time (_tally_lanes);
-    above it each coloring of a block is examined one at a time.
+    above it, where only reach scans go, each coloring of a block is
+    examined one at a time.
     """
     part = _Partial()
     for masks, edge_lanes in _lane_blocks(n, mode, seed, total, count, blocks):
         if edge_lanes is None:
             for mask in masks:
-                _examine(from_red_mask(n, mask), mask, check, part)
+                _examine(from_red_mask(n, mask), mask, part)
         else:
             _tally_lanes(n, check, masks, edge_lanes, part)
     return part
@@ -507,19 +503,19 @@ def _lane_blocks(n: int, mode: str, seed: int | None, total: int, count: int,
 
 def _tally_lanes(n: int, check: str, masks: Sequence[int],
                  edge_lanes: list[int], part: _Partial) -> None:
-    """Tally one lane block: the lane path for all four branches, _examine
-    for the colorings it leaves.
+    """Tally one lane block: the lane path for all four branches, then
+    _examine and _diam2_cover for the colorings it leaves.
 
     lanes.covers claims a cover for each lane, or reports it failed, and
     lanes.verify re-derives every claimed cover.  A claimed cover the
-    lane verifier rejects is a reach failure, and its coloring goes to
-    the diameter-2 search alone.  One it accepts counts as a diameter-2
-    cover too when both parts pass the lane stage 1, the in-set check of
-    every members part (a closed star always passes, and V fails only
-    where it is rejected); a coloring that fails it also goes to the
-    search alone, whose answer does not depend on the stage 1 it skips.
-    Only the failed lanes, where branch 3 fails an internal assertion, go
-    to _examine, which reports its message.
+    lane verifier rejects is a reach failure.  One it accepts counts as a
+    diameter-2 cover too when both parts pass the lane stage 1, the
+    in-set check of every members part (a closed star always passes, and
+    V fails only where it is rejected).  The failed lanes, where branch 3
+    fails an internal assertion, go to _examine under reach/both, which
+    reports the message.  Under diam2/both the rejected, failed and wide
+    lanes go to _diam2_cover alone, whose answer does not depend on the
+    stage 1 they skip.
     """
     ones = (1 << len(masks)) - 1
     adj = lanes.adjacency(n, edge_lanes, ones)
@@ -534,17 +530,17 @@ def _tally_lanes(n: int, check: str, masks: Sequence[int],
                 part.first[key] = mask
         part.failed["reach"].update(masks[i] for i in lanes.indices(rejected))
         part.failed["corollary"].update(masks[i] for i in lanes.indices(small))
+        for i in lanes.indices(failed):
+            _examine(from_red_mask(n, masks[i]), masks[i], part)
     if check in ("diam2", "both"):
-        # the claims cover every lane but the failed ones
-        alone = rejected | wide
-        part.counts["diam2_found"] += (ones ^ (failed | alone)).bit_count()
+        # every lane but the failed ones has a claim
+        alone = rejected | wide | failed
+        part.counts["diam2_found"] += (ones ^ alone).bit_count()
         for i in lanes.indices(alone):
-            if _diam2_cover(from_red_mask(n, masks[i]), None) is not None:
+            if _diam2_cover(from_red_mask(n, masks[i])) is not None:
                 part.counts["diam2_found"] += 1
             else:
                 part.failed["diam2"].add(masks[i])
-    for i in lanes.indices(failed):
-        _examine(from_red_mask(n, masks[i]), masks[i], check, part)
 
 
 def _block_count(n: int, mode: str, total: int, workers: int) -> int:

@@ -217,8 +217,8 @@ def lemmas(n: int, adj: dict[int, list[list[int]]],
     x_set = [b ^ (b & y) for b, y in zip(blue_x, ys)]
     y_set = [b ^ (b & (bx | x | xp))
              for b, bx, x, xp in zip(blue_y, blue_x, xs, xps)]
-    # red(x) = Y + {y'} and X lies in red(y').  solve first checks that x,
-    # x', y, y', X and Y partition V, which follows from red(x) = Y + {y'}.
+    # red(x) = Y + {y'} and X lies in red(y'), as solve checks; that x,
+    # x', y, y', X and Y partition V follows from red(x) = Y + {y'}.
     for rx, sx, sy, yp, ryp in zip(red_x, x_set, y_set, yps, red_yp):
         bad |= rx ^ (sy | yp) | sx ^ (sx & ryp)
     ok = left ^ bad

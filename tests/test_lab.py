@@ -587,6 +587,30 @@ def test_scan_both_solves_only_branch3_colorings_of_a_dense_block(monkeypatch):
         assert _scan_solve_calls(monkeypatch, samples) == []
 
 
+def _diam2_lines(text):
+    return [line for line in text.splitlines()
+            if line.startswith(("diam2", "failure.diam2"))]
+
+
+def test_scan_diam2_searches_the_failed_lanes_without_solve(monkeypatch):
+    # under diam2 the residual lanes, reported failed, go straight to the
+    # search, which needs no cover: nothing is solved, and the answers are
+    # those of the both golden
+    _examine_every_residual(monkeypatch)
+    calls = []
+    real = lab.solve
+
+    def counting_solve(g):
+        calls.append(g.red_mask())
+        return real(g)
+
+    monkeypatch.setattr(lab, "solve", counting_solve)
+    report = scan(10, "random", "diam2", samples=300, seed=2)
+    assert calls == []
+    assert _diam2_lines(report.machine_text()) == _diam2_lines(
+        (FIXTURES / "scan_n10_random_both.txt").read_text())
+
+
 @pytest.mark.parametrize("kwargs", [
     dict(n=6),
     dict(n=10, mode="random", samples=500, seed=4),
@@ -730,12 +754,13 @@ def _scan_fails_through_the_cli(capsys, report, kind, names, workers):
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-@pytest.mark.parametrize("path", ["lanes", "examine"])
+@pytest.mark.parametrize("path", ["lanes", "failed"])
 def test_scan_reports_the_colorings_with_no_diam2_cover(
         monkeypatch, capsys, small_blocks, path, workers):
     """A coloring the diameter-2 search finds no cover for is a diam2
     failure, named canonically, whether it reached the search as a lane
-    that fails the lane stage 1 (_tally_lanes) or through _examine."""
+    that fails the lane stage 1 or as one that lanes.covers reports
+    failed."""
     n, samples, seed = 10, 300, 2
     masks = [random_red_mask(n, seed + SEED_STRIDE * i) for i in range(samples)]
     if path == "lanes":
@@ -750,8 +775,8 @@ def test_scan_reports_the_colorings_with_no_diam2_cover(
     assert len(names) == 3
     real = lab._diam2_cover
 
-    def diam2_cover(g, cov):
-        return None if g.red_mask() in bad else real(g, cov)
+    def diam2_cover(g):
+        return None if g.red_mask() in bad else real(g)
 
     monkeypatch.setattr(lab, "_diam2_cover", diam2_cover)
     report = scan(n, "random", "both", samples=samples, seed=seed,
@@ -805,6 +830,18 @@ def test_exists_diam2_cover_answers_when_solve_raises(monkeypatch):
         found = exists_diam2_cover(g)
         assert found is not None
         assert check_cover(g, found, require_diam2=True) is None
+
+
+def test_exists_diam2_cover_refuses_a_solver_cover_that_misses_v(monkeypatch):
+    # parts {0} and {1} each have in-set diameter <= 2, but they do not
+    # unite to V, so stage 1 must not return them
+    g = from_compact("6:743")
+    real = lab.solve
+    monkeypatch.setattr(lab, "solve",
+                        lambda g: dataclasses.replace(real(g), a=1, b=2))
+    found = exists_diam2_cover(g)
+    assert found is not None
+    assert check_cover(g, found, require_diam2=True) is None
 
 
 def test_scan_workers_do_not_change_the_report(small_blocks):
@@ -929,10 +966,10 @@ def _examine_failing_at(monkeypatch, bad, fail):
     _examine_every_residual(monkeypatch)
     real = lab._examine
 
-    def examine(g, mask, check, part):
+    def examine(g, mask, part):
         if mask == bad:
             fail(g, mask)
-        real(g, mask, check, part)
+        real(g, mask, part)
 
     monkeypatch.setattr(lab, "_examine", examine)
 
@@ -1013,8 +1050,8 @@ def test_scan_receives_a_large_tally_before_joining(monkeypatch, small_blocks):
     extra = range(1 << 40, (1 << 40) + 20_000)
     real = lab._examine
 
-    def examine(g, mask, check, part):
-        real(g, mask, check, part)
+    def examine(g, mask, part):
+        real(g, mask, part)
         if os.getpid() != caller:
             part.failed["reach"].update(extra)
 
@@ -1031,12 +1068,12 @@ def test_scan_caller_failure_terminates_the_workers(monkeypatch, small_blocks):
     bad = _first_residual_mask_of_job(6, 2, 0)
     real = lab._examine
 
-    def examine(g, mask, check, part):
+    def examine(g, mask, part):
         if mask == stall:
             time.sleep(60)
         if mask == bad:
             raise LookupError("injected in the caller's own share")
-        real(g, mask, check, part)
+        real(g, mask, part)
 
     _examine_every_residual(monkeypatch)
     monkeypatch.setattr(lab, "_examine", examine)
@@ -1537,7 +1574,7 @@ def test_lemmas_match_the_case_analysis_on_forged_far_edges(n, samples, seed):
         key = cov.certificate.key
         assert got[i] == (key, _solver_parts(cov))
         seen.add(key)
-    assert len(seen) == 5 + len(LEMMA_KEYS)
+    assert len(seen) == 4 + len(LEMMA_KEYS)
 
 
 @pytest.mark.parametrize("n,samples,seed", [(8, 2000, 83), (10, 1000, 84)])
@@ -1618,9 +1655,9 @@ def test_scan_examines_the_lanes_lemmas_reports_failing(monkeypatch):
 
 
 def test_scan_searches_alone_the_lanes_that_fail_the_lane_stage1(monkeypatch):
-    """_diam2_cover runs, without a cover, only for the critical-complement
-    lanes whose cover is not diameter-2; every other lane, the branch-3
-    ones included, is settled by the lane passes."""
+    """_diam2_cover runs only for the critical-complement lanes whose
+    cover is not diameter-2; every other lane, the branch-3 ones
+    included, is settled by the lane passes."""
     n, samples, seed = 10, 300, 2
     masks = [random_red_mask(n, seed + SEED_STRIDE * i) for i in range(samples)]
     expected = []
@@ -1631,13 +1668,13 @@ def test_scan_searches_alone_the_lanes_that_fail_the_lane_stage1(monkeypatch):
         if not (is_diam2_subset(g, cov.color_a, cov.a)
                 and is_diam2_subset(g, cov.color_b, cov.b)):
             assert key == COMPLEMENT
-            expected.append((m, False))
+            expected.append(m)
     calls = []
     real = lab._diam2_cover
 
-    def counting(g, cov):
-        calls.append((g.red_mask(), cov is not None))
-        return real(g, cov)
+    def counting(g):
+        calls.append(g.red_mask())
+        return real(g)
 
     monkeypatch.setattr(lab, "_diam2_cover", counting)
     report = scan(n, "random", "both", samples=samples, seed=seed)
