@@ -40,7 +40,7 @@ import time
 from dataclasses import dataclass, field
 from functools import lru_cache
 from math import factorial
-from operator import itemgetter
+from operator import itemgetter, ne
 from typing import Iterator, Sequence
 
 from .cover import (
@@ -203,7 +203,8 @@ def symmetry_group_order(n: int) -> int:
 
 @lru_cache(maxsize=4)  # n = 10 holds 5 MB of tables, n = 12 87 MB
 def _edge_perm_tables(n: int) -> tuple[tuple[int, ...], ...]:
-    """Nibble lookup table of each partner-preserving relabeling, identity first.
+    """Nibble lookup table of each partner-preserving relabeling, fewest
+    edges moved first.
 
     A relabeling swaps within pairs, then permutes the pairs.  Entry
     16*c + d of its table is the image of the hex digit d at red-mask bits
@@ -211,6 +212,13 @@ def _edge_perm_tables(n: int) -> tuple[tuple[int, ...], ...]:
     digits share no bit, so the relabeled mask is the sum of one entry per
     digit.  A digit's 16 images depend only on where its 4 edges go, and
     few such 4-sets occur (432 at n = 8), so tables share those blocks.
+
+    The tables are sorted by the number of edges each relabeling moves,
+    ties in permutations x swaps order, so the identity comes first.  A
+    relabeling that moves few edges, such as one pair swap or one pair
+    transposition, is the one most likely to map a mask below itself, and
+    is_canonical stops at the first such image.  canonical_red_mask takes
+    the min and max of every image, so no answer depends on the order.
     """
     edges = edge_list(n)
     index = {}
@@ -223,48 +231,43 @@ def _edge_perm_tables(n: int) -> tuple[tuple[int, ...], ...]:
     half = n // 2
     swaps = [edge_map([v ^ (s >> (v >> 1) & 1) for v in range(n)])
              for s in range(1 << half)]
-    perms = [[1 << k for k in edge_map([2 * p[v >> 1] + (v & 1) for v in range(n)])]
+    bits = [1 << k for k in range(len(edges))]
+    perms = [[bits[k] for k in edge_map([2 * p[v >> 1] + (v & 1) for v in range(n)])]
              for p in itertools.permutations(range(half))]
     blocks: dict[tuple[int, ...], list[int]] = {}
-    tables = []
+    ranked = []
     for perm in perms:
         for swap in swaps:
-            images = iter([perm[k] for k in swap])
+            images = [perm[k] for k in swap]  # images[k]: the bit edge k goes to
+            quads = iter(images)
             table: list[int] = []
-            for quad in zip(images, images, images, images):
+            for quad in zip(quads, quads, quads, quads):
                 block = blocks.get(quad)
                 if block is None:
                     a, b, c, d = quad
                     block = blocks[quad] = [hi | lo for hi in (0, c, d, c | d)
                                             for lo in (0, a, b, a | b)]
                 table += block
-            tables.append(tuple(table))
-    return tuple(tables)
-
-
-def _relabeled_masks(n: int, mask: int) -> Iterator[int]:
-    """The red mask under each relabeling, in table order."""
-    tables = _edge_perm_tables(n)
-    # digit i's entries start at base = 16*i; its bits start at 4*i = base >> 2
-    digits = [base + (mask >> (base >> 2) & 15)
-              for base in range(0, len(tables[0]), 16)]
-    if len(digits) > 1:
-        return map(sum, map(itemgetter(*digits), tables))
-    if digits:  # n = 4: a one-index itemgetter returns the entry, not a tuple
-        return map(itemgetter(digits[0]), tables)
-    return itertools.repeat(0, len(tables))  # n = 2: no edges
+            ranked.append((sum(map(ne, images, bits)), tuple(table)))
+    ranked.sort(key=itemgetter(0))  # stable, so ties keep their order
+    return tuple(table for _, table in ranked)
 
 
 @lru_cache(maxsize=ORBIT_MAX_N // 2)
-def _orbit_full(n: int) -> int:
-    """All-red mask of order n, for the orbit functions: refuses n >
-    ORBIT_MAX_N; cached because symmetry_classes calls is_canonical on
-    every mask of the space."""
+def _orbit_digits(n: int) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """All-red mask of order n, and the bit shift 4*i and table offset
+    16*i of each hex digit i of a red mask, for the orbit functions.
+
+    Refuses n > ORBIT_MAX_N before any table is built.  Cached because a
+    class sweep calls is_canonical once per mask; it holds no table, so it
+    keeps none alive that _edge_perm_tables has evicted.
+    """
     if n > ORBIT_MAX_N:
         raise ValueError(
             f"n={n} exceeds the orbit bound ORBIT_MAX_N={ORBIT_MAX_N} "
             f"({symmetry_group_order(n) // 2} relabeling tables)")
-    return (1 << num_edges(n)) - 1
+    m = num_edges(n)
+    return (1 << m) - 1, tuple((4 * i, 16 * i) for i in range(m // 4))
 
 
 def canonical_red_mask(n: int, mask: int) -> int:
@@ -272,22 +275,39 @@ def canonical_red_mask(n: int, mask: int) -> int:
 
     Refuses n > ORBIT_MAX_N.
     """
-    full = _orbit_full(n)
+    full, digits = _orbit_digits(n)
     _check_red_mask(n, mask, full + 1)
-    images = list(_relabeled_masks(n, mask))
+    tables = _edge_perm_tables(n)
+    index = [base + (mask >> shift & 15) for shift, base in digits]
+    if len(index) > 1:
+        images = list(map(sum, map(itemgetter(*index), tables)))
+    elif index:  # n = 4: a one-index itemgetter returns the entry, not a tuple
+        images = [table[index[0]] for table in tables]
+    else:  # n = 2: no edges
+        images = [0]
     # full - image is the image's color swap, smallest for the largest image
     return min(min(images), full - max(images))
 
 
 def is_canonical(n: int, mask: int) -> bool:
-    """Is this red mask the smallest in its orbit?  Refuses n > ORBIT_MAX_N."""
-    full = _orbit_full(n)
+    """Is this red mask the smallest in its orbit?  Refuses n > ORBIT_MAX_N.
+
+    Rejects a mask above its color swap at once, and otherwise stops at
+    the first relabeled mask below it or above its color swap.  The walk
+    skips the identity, which _edge_perm_tables puts first, and meets the
+    relabelings that move fewest edges, the likeliest to reject, next.
+    """
+    full, digits = _orbit_digits(n)
     _check_red_mask(n, mask, full + 1)
     swapped = full - mask
     if swapped < mask:  # the color swap alone settles half of all masks
         return False
-    for pm in _relabeled_masks(n, mask):
-        if not mask <= pm <= swapped:  # pm > swapped: pm's color swap < mask
+    if len(digits) < 2:  # n <= 4: an itemgetter of < 2 indices returns no tuple
+        return canonical_red_mask(n, mask) == mask
+    image = itemgetter(*[base + (mask >> shift & 15) for shift, base in digits])
+    for table in itertools.islice(_edge_perm_tables(n), 1, None):
+        pm = sum(image(table))
+        if pm < mask or pm > swapped:  # pm > swapped: pm's color swap < mask
             return False
     return True
 
@@ -295,14 +315,17 @@ def is_canonical(n: int, mask: int) -> bool:
 def symmetry_classes(n: int, max_n: int = 6) -> list[int]:
     """Canonical representatives of all coloring classes of order n, sorted.
 
-    Enumerates all 2**(n(n-2)/2) masks, so by default refuses n > 6.
+    Walks the masks below 2**(m-1), m = n(n-2)/2: a mask at or above it
+    is above its color swap, so is not canonical.  That is 2**(m-1)
+    is_canonical calls, so by default it refuses n > 6.
     """
     m = num_edges(n)
     if n > max_n:
         raise ValueError(
             f"n={n} exceeds the class enumeration bound {max_n}; "
             f"pass max_n to override")
-    return [mask for mask in range(1 << m) if is_canonical(n, mask)]
+    # n = 2: m = 0, and its one mask 0 is canonical
+    return [mask for mask in range(1 << m >> 1 or 1) if is_canonical(n, mask)]
 
 
 def symmetry_reduce(g: ColoredCocktail) -> str:

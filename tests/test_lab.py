@@ -296,6 +296,27 @@ def test_orbit_tables_match_oracle_n8_stratified():
     assert all(is_canonical(8, m) for m in N8_CANONICAL)
 
 
+def test_orbit_tables_match_oracle_n10():
+    # the sharp example's canonical mask is accepted only after every table
+    rng = random.Random(10)
+    masks = [rng.getrandbits(num_edges(10)) for _ in range(3)]
+    masks += [rng.getrandbits(24)]  # far below its color swap: a slow reject
+    _assert_matches_orbit_oracle(10, masks + [build_sharp_example(10).red_mask()])
+
+
+@pytest.mark.parametrize("n", [4, 6, 8, 10])
+def test_orbit_tables_put_fewest_moved_edges_first(n):
+    # no answer depends on the order, only is_canonical's speed: the
+    # relabelings moving fewest edges reject most masks
+    m = num_edges(n)
+    tables = lab._edge_perm_tables(n)
+    assert tables[0] == tuple(d << 4 * c for c in range(m // 4) for d in range(16))
+    # edge k = 4c + j goes to the bit at entry 16*c + 2**j
+    moved = [sum(t[16 * (k >> 2) + (1 << (k & 3))] != 1 << k for k in range(m))
+             for t in tables]
+    assert moved == sorted(moved)
+
+
 @pytest.mark.parametrize("orbit_fn", [canonical_red_mask, is_canonical])
 @pytest.mark.parametrize("mask", [0b10011, 1 << 16, -1])
 def test_orbit_functions_reject_out_of_range_masks(orbit_fn, mask):
