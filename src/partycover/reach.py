@@ -5,13 +5,32 @@ a color-c edge or share a color-c neighbor *anywhere in the graph*.  A
 vertex set all of whose pairs 2-reach each other in c is "2-reachable in
 c"; the stricter "diameter <= 2 in c" additionally demands the middle
 vertex lie inside the set.  Stars are the workhorse 2-reachable sets.
+
+Every set predicate here runs on one kernel, ``_within2``, which clears
+the pairs of a set by common middles.  Below PAIR_MATRIX_MIN_N it walks
+one need mask per vertex; from it up to n = 64 it keeps all pairs still
+in need in one packed pair matrix and strikes every pair inside a
+middle's neighborhood at once.  The packing costs a few microseconds a
+call, so the two break even near n = 30 and the matrix wins above it.
 """
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .graphs import BLUE, RED, ColoredCocktail, _check_pair
+from .lanes import indices
+
+#: Smallest order at which _within2 strikes pairs in a packed pair matrix
+#: instead of walking need masks row by row.  solve plus check_cover per
+#: coloring, packed over walk (uniform and planted sharp colorings, best
+#: of 9 interleaved runs): 2.02 at n = 12, 1.42 at 16, 1.15 at 24, 1.12 at
+#: 28, 1.00 at 30, 0.74 at 32, 0.65 at 48 and 0.57 at 64.
+PAIR_MATRIX_MIN_N = 32
+#: The packed loop tests the last pairs one by one once this few remain.
+_FEW_PAIRS = 12
 
 
 def dist_le2(g: ColoredCocktail, c: int, u: int, v: int) -> bool:
@@ -72,18 +91,26 @@ def _within2(adj: tuple[int, ...], members: int, middles: int,
              far: list[int] | None = None) -> bool:
     """Every pair inside members is an edge or has a common neighbor in middles.
 
-    Each u clears the later members it still needs one middle at a time:
-    for the highest needed v, the highest middle w in adj[u] & middles &
-    adj[v] is a common neighbor of u and every neighbor of w, so all of
-    adj[w] is struck from the need mask at once (no such w means {u, v}
-    is far).  v itself is struck explicitly, so each step clears at least
-    one bit and the loop ends even on an asymmetric ``validate=False``
-    table.  A vertex costs about log(deg) steps, not one per far pair.
+    Below PAIR_MATRIX_MIN_N each u clears the later members it still
+    needs one middle at a time: for the highest needed v, the highest
+    middle w in adj[u] & middles & adj[v] is a common neighbor of u and
+    every neighbor of w, so all of adj[w] is struck from the need mask at
+    once (no such w means {u, v} is far).  A vertex costs about log(deg)
+    steps, not one per far pair.  From PAIR_MATRIX_MIN_N up to n = 64,
+    where a row fits one 64-bit word, the same strikes run on every row
+    at once (``_strike_pairs``).
+
+    Either way the pair examined is cleared explicitly, so each step
+    clears at least one need and the loop ends even on an asymmetric
+    ``validate=False`` table, where a strike through w need not reach
+    the pair that chose w.
 
     With ``far`` None the walk returns False at the first far pair.  Given
     a list of one zero row per vertex, it sets bit v of row u and bit u of
     row v for every far pair {u, v} and walks on.
     """
+    if PAIR_MATRIX_MIN_N <= len(adj) <= 64:
+        return _strike_pairs(adj, members, middles, far)
     rest = members
     while rest:
         low = rest & -rest
@@ -102,6 +129,65 @@ def _within2(adj: tuple[int, ...], members: int, middles: int,
             else:
                 far[u] |= 1 << v
                 far[v] |= low
+    return True
+
+
+@lru_cache(maxsize=None)  # at most one entry per n in [PAIR_MATRIX_MIN_N, 64]
+def _pair_plan(n: int) -> tuple:
+    """Row packer, column mask, strict upper triangle and member spreader
+    of the n x 64 pair matrices, row u at bit 64 * u.
+
+    The spreader maps a byte of a member mask to its 8 rows, each 1 where
+    the bit is set, so joining the bytes' images is the member column.
+    """
+    col = sum(1 << 64 * u for u in range(n))
+    full = (1 << n) - 1
+    upper = sum((full ^ ((2 << u) - 1)) << 64 * u for u in range(n))
+    spread = [sum(1 << 64 * i for i in range(8) if b >> i & 1)
+              .to_bytes(64, "little") for b in range(256)]
+    return struct.Struct(f"<{n}Q").pack, col, upper, spread.__getitem__
+
+
+def _strike_pairs(adj: tuple[int, ...], members: int, middles: int,
+                  far: list[int] | None) -> bool:
+    """_within2 on one pair matrix, for 64-bit rows.
+
+    nn holds bit 64 * u + v for each pair u < v of members that is not an
+    edge: the member square minus the table, whose row u is adj[u] at bit
+    64 * u.  Each step takes the highest pair, clears it, and strikes
+    every pair inside adj[w] for its highest common middle w:
+    ``table >> w & col`` is column w, the rows that list w, and times
+    adj[w] it is adj[w] in each of them, carry-free since a row is 64 bits
+    wide (the square of ``extremal.reach_adjacency``).  The last
+    _FEW_PAIRS pairs are tested one by one, cheaper than a strike over
+    the whole matrix each.
+    """
+    n = len(adj)
+    pack, col, upper, spread = _pair_plan(n)
+    table = int.from_bytes(pack(*adj), "little")
+    rows = int.from_bytes(b"".join(map(spread, members.to_bytes(8, "little"))),
+                          "little")
+    nn = rows * members & upper & ~table
+    while nn.bit_count() > _FEW_PAIRS:
+        p = nn.bit_length() - 1
+        nn ^= 1 << p
+        u, v = p >> 6, p & 63
+        hit = adj[u] & adj[v] & middles
+        if hit:
+            w = hit.bit_length() - 1
+            nn ^= nn & ((table >> w & col) * adj[w])
+        elif far is None:
+            return False
+        else:
+            far[u] |= 1 << v
+            far[v] |= 1 << u
+    for p in indices(nn):
+        u, v = p >> 6, p & 63
+        if not adj[u] & adj[v] & middles:
+            if far is None:
+                return False
+            far[u] |= 1 << v
+            far[v] |= 1 << u
     return True
 
 

@@ -24,7 +24,9 @@ from partycover.graphs import (
     vertex_mask,
 )
 from partycover.reach import (
+    PAIR_MATRIX_MIN_N,
     CriticalPair,
+    _within2,
     critical_pairs,
     dist_le2,
     is_2reachable_set,
@@ -197,6 +199,61 @@ def test_within2_returns_on_an_asymmetric_table():
     worker.join(timeout=10)
     assert not worker.is_alive()
     assert answers == [True, False, [CriticalPair(2, 3, RED, is_edge=False)]]
+
+
+def test_within2_returns_on_an_asymmetric_table_above_the_switch():
+    """The n = 4 table above, widened to the packed pair matrix: vertex 2
+    is a red neighbor of all others but lists none, so its strikes clear
+    nothing and only the explicit clear of the pair examined ends the
+    loop.  The far pairs are {2, v} for every v > 2."""
+    n = PAIR_MATRIX_MIN_N
+    red = tuple(0 if v == 2 else 0b100 for v in range(n))
+    g = ColoredCocktail(n, red, (0,) * n, validate=False)
+    answers = []
+    worker = threading.Thread(daemon=True, target=lambda: answers.extend(
+        [is_2reachable_set(g, RED, ((1 << n) - 1) ^ 0b100),
+         mono_diam_le2(g, RED), critical_pairs(g, RED)]))
+    worker.start()
+    worker.join(timeout=10)
+    assert not worker.is_alive()
+    assert answers == [True, False, [CriticalPair(2, v, RED, is_edge=v != 3)
+                                     for v in range(3, n)]]
+
+
+def _symmetric_table(n, p, rng):
+    rows = [0] * n
+    for u, v in itertools.combinations(range(n), 2):
+        if rng.random() < p:
+            rows[u] |= 1 << v
+            rows[v] |= 1 << u
+    return tuple(rows)
+
+
+@pytest.mark.parametrize("n", [12, PAIR_MATRIX_MIN_N - 2, PAIR_MATRIX_MIN_N,
+                               48, 64])
+def test_within2_matches_the_pairwise_definition(n):
+    """Both sides of the switch between the row walk and the pair matrix,
+    with members and middles drawn apart, so a middle may lie outside the
+    set and a member may be no middle."""
+    rng = random.Random(n)
+    full = (1 << n) - 1
+    answers = set()
+    for p in (0.1, 0.3, 0.5, 0.9):
+        adj = _symmetric_table(n, p, rng)
+        for _ in range(6):
+            members = rng.choice([full, rng.getrandbits(n)])
+            middles = rng.choice([-1, full, 0, rng.getrandbits(n)])
+            want = [0] * n
+            for u, v in itertools.combinations(vertex_list(members), 2):
+                if not (adj[u] >> v & 1 or adj[u] & adj[v] & middles):
+                    want[u] |= 1 << v
+                    want[v] |= 1 << u
+            far = [0] * n
+            assert _within2(adj, members, middles, far) is True
+            assert far == want
+            assert _within2(adj, members, middles) == (want == [0] * n)
+            answers.add(want == [0] * n)
+    assert answers == {False, True}
 
 
 def test_diam2_implies_2reachable_exhaustive_n4():
