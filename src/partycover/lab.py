@@ -65,7 +65,7 @@ from .graphs import (
     random_red_mask,
 )
 from . import lanes
-from .reach import _within2, is_diam2_subset, star
+from .reach import _within2, star
 
 #: Complete diameter-2 cover search walks 3**n assignments; refuse beyond this.
 DIAM2_SEARCH_MAX_N = 10
@@ -109,11 +109,11 @@ def exists_diam2_cover(g: ColoredCocktail,
     """A cover of V by two monochromatic diameter-<=2 subsets, or None.
 
     Complete: a None return means no such cover exists for any color
-    pair.  Stage 1 re-checks solve's cover under the stronger in-set
-    middle requirement: its parts must unite to V and both pass
-    is_diam2_subset, whatever the certificate says.  When they do not, or
-    solve fails an internal assertion, _diam2_cover runs stages 2 and 3.
-    The cover has no certificate.
+    pair.  Stage 1 takes solve's parts and colors without the
+    certificate and re-checks them with verify_cover under the stronger
+    in-set middle requirement.  When that fails, or solve fails an
+    internal assertion, _diam2_cover runs stages 2 and 3.  The cover has
+    no certificate.
     """
     n = g.n
     if n > max_n:
@@ -125,10 +125,9 @@ def exists_diam2_cover(g: ColoredCocktail,
     except InternalInconsistencyError:
         pass  # the search must not die with the constructive route
     else:
-        if (cov.a | cov.b) == (1 << n) - 1 \
-                and is_diam2_subset(g, cov.color_a, cov.a) \
-                and is_diam2_subset(g, cov.color_b, cov.b):
-            return Cover(n, cov.a, cov.color_a, cov.b, cov.color_b)
+        bare = Cover(n, cov.a, cov.color_a, cov.b, cov.color_b)
+        if verify_cover(g, bare, require_diam2=True):
+            return bare
     return _diam2_cover(g)
 
 

@@ -10,8 +10,9 @@ Every set predicate here runs on one kernel, ``_within2``, which clears
 the pairs of a set by common middles.  Below PAIR_MATRIX_MIN_N it walks
 one need mask per vertex; from it up to n = 64 it keeps all pairs still
 in need in one packed pair matrix and strikes every pair inside a
-middle's neighborhood at once.  The packing costs a few microseconds a
-call, so the two break even near n = 30 and the matrix wins above it.
+middle's neighborhood at once.  Packing the matrix costs a few
+microseconds a call, which the walk saves up to n = 30; from n = 32 the
+strikes win.
 """
 
 from __future__ import annotations
@@ -21,16 +22,16 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .graphs import BLUE, RED, ColoredCocktail, _check_pair
-from .lanes import indices
 
 #: Smallest order at which _within2 strikes pairs in a packed pair matrix
-#: instead of walking need masks row by row.  solve plus check_cover per
-#: coloring, packed over walk (uniform and planted sharp colorings, best
-#: of 9 interleaved runs): 2.02 at n = 12, 1.42 at 16, 1.15 at 24, 1.12 at
-#: 28, 1.00 at 30, 0.74 at 32, 0.65 at 48 and 0.57 at 64.
+#: instead of walking need masks row by row.  solve plus check_cover and
+#: both subset predicates on a random subset per color, per coloring,
+#: matrix over walk (uniform and planted sharp colorings, best of 9
+#: interleaved runs): 1.63 at n = 12, 1.47 at 16, 1.10 at 24, 1.03-1.06
+#: at 28, 0.97-1.02 at 30, 0.78-0.83 at 32, 0.68 at 40 and 48 and 0.60
+#: at 64.  At 28-30 the two are even within the noise, and no benchmark
+#: workload lies between n = 10 and 64 to show a lower switch gaining.
 PAIR_MATRIX_MIN_N = 32
-#: The packed loop tests the last pairs one by one once this few remain.
-_FEW_PAIRS = 12
 
 
 def dist_le2(g: ColoredCocktail, c: int, u: int, v: int) -> bool:
@@ -158,9 +159,7 @@ def _strike_pairs(adj: tuple[int, ...], members: int, middles: int,
     every pair inside adj[w] for its highest common middle w:
     ``table >> w & col`` is column w, the rows that list w, and times
     adj[w] it is adj[w] in each of them, carry-free since a row is 64 bits
-    wide (the square of ``extremal.reach_adjacency``).  The last
-    _FEW_PAIRS pairs are tested one by one, cheaper than a strike over
-    the whole matrix each.
+    wide (the square of ``extremal.reach_adjacency``).
     """
     n = len(adj)
     pack, col, upper, spread = _pair_plan(n)
@@ -168,7 +167,7 @@ def _strike_pairs(adj: tuple[int, ...], members: int, middles: int,
     rows = int.from_bytes(b"".join(map(spread, members.to_bytes(8, "little"))),
                           "little")
     nn = rows * members & upper & ~table
-    while nn.bit_count() > _FEW_PAIRS:
+    while nn:
         p = nn.bit_length() - 1
         nn ^= 1 << p
         u, v = p >> 6, p & 63
@@ -179,13 +178,6 @@ def _strike_pairs(adj: tuple[int, ...], members: int, middles: int,
         elif far is None:
             return False
         else:
-            far[u] |= 1 << v
-            far[v] |= 1 << u
-    for p in indices(nn):
-        u, v = p >> 6, p & 63
-        if not adj[u] & adj[v] & middles:
-            if far is None:
-                return False
             far[u] |= 1 << v
             far[v] |= 1 << u
     return True

@@ -234,14 +234,16 @@ def _symmetric_table(n, p, rng):
 def test_within2_matches_the_pairwise_definition(n):
     """Both sides of the switch between the row walk and the pair matrix,
     with members and middles drawn apart, so a middle may lie outside the
-    set and a member may be no middle."""
+    set and a member may be no middle.  Sparse member sets of 2-6
+    vertices (at most 15 pairs) try the strike loop on few pairs."""
     rng = random.Random(n)
     full = (1 << n) - 1
     answers = set()
     for p in (0.1, 0.3, 0.5, 0.9):
         adj = _symmetric_table(n, p, rng)
-        for _ in range(6):
-            members = rng.choice([full, rng.getrandbits(n)])
+        for _ in range(9):
+            sparse = vertex_mask(rng.sample(range(n), rng.randint(2, 6)))
+            members = rng.choice([full, rng.getrandbits(n), sparse])
             middles = rng.choice([-1, full, 0, rng.getrandbits(n)])
             want = [0] * n
             for u, v in itertools.combinations(vertex_list(members), 2):
